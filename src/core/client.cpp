@@ -1,7 +1,9 @@
 #include "core/client.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <utility>
 
 namespace securestore::core {
 
@@ -50,29 +52,18 @@ void SecureStoreClient::set_codec(std::shared_ptr<ValueCodec> codec) {
   options_.codec = codec ? std::move(codec) : std::make_shared<PlainValueCodec>();
 }
 
-std::vector<NodeId> SecureStoreClient::pick_servers(std::size_t count, std::size_t skip) const {
+std::vector<NodeId> SecureStoreClient::pick_servers(std::size_t count) const {
   // Preference order, with servers the estimator distrusts OR the circuit
   // breaker holds open demoted to the back — they still serve as escalation
   // fallbacks, never first choices, so the quorum path routes around a
   // drowning replica the same way it routes around a suspected-faulty one.
-  const auto demoted = [this](NodeId server) {
-    if (estimator_.has_value() && estimator_->is_distrusted(server)) return true;
-    return breaker_open(server);
-  };
-  std::vector<NodeId> ordered;
-  ordered.reserve(server_order_.size());
-  for (const NodeId server : server_order_) {
-    if (!demoted(server)) ordered.push_back(server);
-  }
-  for (const NodeId server : server_order_) {
-    if (demoted(server)) ordered.push_back(server);
-  }
-
-  std::vector<NodeId> out;
-  for (std::size_t i = skip; i < ordered.size() && out.size() < count; ++i) {
-    out.push_back(ordered[i]);
-  }
-  return out;
+  std::vector<NodeId> ordered = server_order_;
+  std::stable_partition(ordered.begin(), ordered.end(), [this](NodeId server) {
+    return !(estimator_.has_value() && estimator_->is_distrusted(server)) &&
+           !breaker_open(server);
+  });
+  ordered.resize(std::min(count, ordered.size()));
+  return ordered;
 }
 
 std::uint32_t SecureStoreClient::effective_b() const {
@@ -86,10 +77,9 @@ void SecureStoreClient::note_responded(NodeId server) {
 void SecureStoreClient::note_silent(const std::vector<NodeId>& targets,
                                     const std::vector<NodeId>& responders) {
   for (const NodeId target : targets) {
-    if (std::find(responders.begin(), responders.end(), target) == responders.end()) {
-      fault_silent_.inc();
-      if (estimator_.has_value()) estimator_->report_soft_evidence(target);
-    }
+    if (std::ranges::find(responders, target) != responders.end()) continue;
+    fault_silent_.inc();
+    if (estimator_.has_value()) estimator_->report_soft_evidence(target);
   }
 }
 
@@ -102,9 +92,7 @@ bool SecureStoreClient::note_wrong_shard(net::MsgType type, BytesView resp_body)
   if (type != net::MsgType::kWrongShard) return false;
   // Keep the first rejection's ring; a second rejecting server in the same
   // round adds nothing (the router verifies and version-checks anyway).
-  if (wrong_shard_ring_.empty()) {
-    wrong_shard_ring_.assign(resp_body.begin(), resp_body.end());
-  }
+  if (wrong_shard_ring_.empty()) wrong_shard_ring_.assign(resp_body.begin(), resp_body.end());
   return true;
 }
 
@@ -117,8 +105,7 @@ bool SecureStoreClient::note_overloaded(NodeId from, net::MsgType type, BytesVie
   if (type != net::MsgType::kOverloaded) {
     // The server answered with real content: it is keeping up again, so any
     // accumulated strikes are stale.
-    const auto it = breakers_.find(from.value);
-    if (it != breakers_.end()) breakers_.erase(it);
+    breakers_.erase(from.value);
     return false;
   }
   refused_.inc();
@@ -156,11 +143,7 @@ bool SecureStoreClient::note_overloaded(NodeId from, net::MsgType type, BytesVie
   return true;
 }
 
-SimDuration SecureStoreClient::take_overload_hint() {
-  const SimDuration hint = overload_hint_;
-  overload_hint_ = 0;
-  return hint;
-}
+SimDuration SecureStoreClient::take_overload_hint() { return std::exchange(overload_hint_, 0); }
 
 Error SecureStoreClient::round_error(std::size_t refused, net::QuorumOutcome outcome) const {
   if (refused > 0) return Error::kOverloaded;
@@ -168,36 +151,13 @@ Error SecureStoreClient::round_error(std::size_t refused, net::QuorumOutcome out
                                                  : Error::kInsufficientQuorum;
 }
 
-SecureStoreClient::Trace SecureStoreClient::begin_trace(std::string op) {
-  // Every public operation opens exactly one trace, so this doubles as the
-  // start-of-op hook: drop any ring a previous rejection stashed and any
-  // retry-after hint a previous operation never consumed.
-  wrong_shard_ring_.clear();
-  overload_hint_ = 0;
-  // The transport clock keeps span semantics identical across worlds:
-  // virtual microseconds under the simulator, wall microseconds since
-  // transport start on the thread/TCP transports.
-  auto trace = obs::start_trace(
-      node_.transport().registry(), std::move(op),
-      [this] { return static_cast<std::uint64_t>(node_.transport().now()); });
-  // Enter the operation into the distributed trace (subject to the event
-  // log's enable/sampling knobs); its context then rides out with every
-  // rpc the operation issues.
-  trace->attach_root(node_.transport().events(), node_.id().value);
-  return trace;
-}
-
-SimTime SecureStoreClient::op_deadline() const {
-  return node_.transport().now() + config_.op_timeout;
-}
-
 SimDuration SecureStoreClient::round_budget(SimTime deadline) const {
   const SimTime now = node_.transport().now();
   // Clamp before subtracting: SimTime is unsigned, and a backoff sleep (or
   // a slow wall-clock dispatch on the threaded transports) can overshoot
   // the absolute deadline, so `deadline - now` would wrap to a huge round
-  // timeout. Zero tells every attempt loop to fail the op with a deadline
-  // error instead of issuing that round.
+  // timeout. Zero tells the driver to fail the op with a deadline error
+  // instead of issuing that round.
   if (now >= deadline) {
     deadline_exceeded_.inc();
     return 0;
@@ -217,12 +177,8 @@ SimDuration SecureStoreClient::retry_backoff(unsigned round) {
 }
 
 std::string SecureStoreClient::data_op_name(std::string_view verb) const {
-  const char* protocol = "p3";
-  if (options_.policy.sharing == SharingMode::kMultiWriter) {
-    protocol = options_.policy.trust == ClientTrust::kByzantine ? "p6" : "p5";
-  } else if (verb == "read") {
-    protocol = "p4";
-  }
+  const char* protocol = verb == "read" ? "p4" : "p3";
+  if (options_.policy.sharing == SharingMode::kMultiWriter) protocol = hardened() ? "p6" : "p5";
   return std::string("client.") + protocol + "." + std::string(verb);
 }
 
@@ -231,325 +187,315 @@ const Bytes* SecureStoreClient::writer_key(ClientId writer) const {
   return it != config_.client_keys.end() ? &it->second : nullptr;
 }
 
+bool SecureStoreClient::hardened() const {
+  return options_.policy.sharing == SharingMode::kMultiWriter &&
+         options_.policy.trust == ClientTrust::kByzantine;
+}
+
 std::size_t SecureStoreClient::write_set_size() const {
-  const bool hardened = options_.policy.sharing == SharingMode::kMultiWriter &&
-                        options_.policy.trust == ClientTrust::kByzantine;
   // Dynamic sizing applies only to the honest-client paths, where safety
   // rests on signatures and a too-small set risks only liveness (fixed by
   // escalation). The hardened §5.3 quorums and the b+1 agreement threshold
   // are load-bearing for safety and always use the static bound.
-  if (hardened) return config_.data_quorum_byzantine();
+  if (hardened()) return config_.data_quorum_byzantine();
   return effective_b() + 1;
 }
 
 // ---------------------------------------------------------------------------
-// P1: context acquisition (Fig. 1).
+// The retrying-quorum driver. Every protocol below is one instance of the
+// Fig. 1/Fig. 2 shape: send to a set, fold replies until a predicate holds,
+// otherwise "contact additional servers or try later".
+// ---------------------------------------------------------------------------
+
+template <typename R>
+struct SecureStoreClient::Op {
+  Trace trace;
+  SimTime deadline;
+  std::function<void(R)> done;
+};
+
+struct SecureStoreClient::QuorumSpec {
+  net::MsgType type;
+  Bytes body;
+  /// A round is lost once fewer than this many targets are left that have
+  /// not refused: targets − refused < min_useful.
+  std::size_t min_useful;
+  std::string_view phase = "quorum";
+};
+
+template <typename R, typename State, typename Targets, typename Fold, typename Settle>
+struct SecureStoreClient::Rounds {
+  void start(unsigned next_round) {
+    const SimDuration budget = client.round_budget(op->deadline);
+    if (budget == 0) return finish(R(Error::kTimeout, "operation deadline passed"));
+    round = next_round;
+    state = State{};
+    targets = targets_for(round);
+    responders.clear();
+    refused = 0;
+    op->trace->phase(spec.phase);
+    net::QuorumCall::start(
+        client.node_, targets, spec.type, spec.body,
+        [self = self.lock()](NodeId from, net::MsgType type, BytesView body) {
+          return self->on_reply(from, type, body);
+        },
+        [self = self.lock()](net::QuorumOutcome result, std::size_t) {
+          if (self->client.wrong_shard_pending()) {
+            return self->finish(
+                R(Error::kWrongShard, "server does not own this group's shard"));
+          }
+          self->outcome = result;
+          self->settle(*self);
+        },
+        net::QuorumCall::Options{budget, op->trace->ctx()});
+  }
+
+  bool on_reply(NodeId from, net::MsgType type, BytesView body) {
+    if (client.note_wrong_shard(type, body)) return true;
+    // A refusal is a response, not silence: the server is alive.
+    responders.push_back(from);
+    if (client.note_overloaded(from, type, body)) {
+      // Fast refusal: once the refusals leave too few possible useful
+      // repliers, the round cannot succeed — end it now instead of burning
+      // the rest of the round timeout.
+      return targets.size() - ++refused < spec.min_useful;
+    }
+    return fold(state, from, body);
+  }
+
+  void finish(R result) {
+    op->trace->finish(result.ok());
+    op->done(std::move(result));
+  }
+
+  /// The default failure of a lost round (round_error: refusals dominate).
+  R failure(std::string detail) const {
+    return R(client.round_error(refused, outcome), std::move(detail));
+  }
+
+  /// Backs off and starts the next, wider round; ends the operation with
+  /// `failure` when no round is left before the deadline.
+  void retry(R failure) {
+    const SimDuration backoff =
+        std::max(client.retry_backoff(round), client.take_overload_hint());
+    if (round + 1 < client.options_.max_read_rounds &&
+        client.node_.transport().now() + backoff < op->deadline) {
+      op->trace->add("retries");
+      client.node_.transport().schedule(
+          backoff, [self = self.lock()] { self->start(self->round + 1); });
+      return;
+    }
+    finish(std::move(failure));
+  }
+
+  SecureStoreClient& client;
+  std::shared_ptr<Op<R>> op;
+  QuorumSpec spec;
+  Targets targets_for;
+  Fold fold;
+  Settle settle;
+  std::weak_ptr<Rounds> self;  // the owning pointer lives in pending callbacks
+  // The current round, reset by start().
+  unsigned round = 0;
+  State state{};
+  std::vector<NodeId> targets;
+  std::vector<NodeId> responders;  // every non-misroute reply, arrival order
+  std::size_t refused = 0;
+  net::QuorumOutcome outcome = net::QuorumOutcome::kTimeout;
+};
+
+template <typename R>
+std::shared_ptr<SecureStoreClient::Op<R>> SecureStoreClient::begin_op(
+    std::string name, std::function<void(R)> done) {
+  // Every public operation opens exactly one, so this doubles as the
+  // start-of-op hook: drop any ring a previous rejection stashed and any
+  // retry-after hint a previous operation never consumed.
+  wrong_shard_ring_.clear();
+  overload_hint_ = 0;
+  // The transport clock keeps span semantics identical across worlds:
+  // virtual microseconds under the simulator, wall microseconds since
+  // transport start on the thread/TCP transports.
+  auto trace = obs::start_trace(
+      node_.transport().registry(), std::move(name),
+      [this] { return static_cast<std::uint64_t>(node_.transport().now()); });
+  // Enter the operation into the distributed trace (subject to the event
+  // log's enable/sampling knobs); its context then rides out with every
+  // rpc the operation issues.
+  trace->attach_root(node_.transport().events(), node_.id().value);
+  const SimTime deadline = node_.transport().now() + config_.op_timeout;
+  return std::make_shared<Op<R>>(Op<R>{std::move(trace), deadline, std::move(done)});
+}
+
+template <typename State, typename R, typename Targets, typename Fold, typename Settle>
+void SecureStoreClient::retrying_quorum(std::shared_ptr<Op<R>> op, QuorumSpec spec,
+                                        Targets targets, Fold fold, Settle settle) {
+  using Run = Rounds<R, State, Targets, Fold, Settle>;
+  auto run = std::make_shared<Run>(Run{*this, std::move(op), std::move(spec),
+                                       std::move(targets), std::move(fold), std::move(settle)});
+  run->self = run;
+  run->start(0);
+}
+
+std::vector<NodeId> SecureStoreClient::escalated(std::size_t base, unsigned round) const {
+  const std::size_t count = base + round * config_.read_escalation_step;
+  return pick_servers(std::min<std::size_t>(config_.n, count));
+}
+
+// ---------------------------------------------------------------------------
+// P1: context acquisition and storage (Fig. 1).
 // ---------------------------------------------------------------------------
 
 void SecureStoreClient::connect(GroupId group, VoidCb done) {
-  connect_attempt(group, /*round=*/0, op_deadline(), begin_trace("client.p1.connect"),
-                  std::move(done));
-}
-
-void SecureStoreClient::connect_attempt(GroupId group, unsigned round, SimTime deadline,
-                                        Trace trace, VoidCb done) {
-  const SimDuration budget = round_budget(deadline);
-  if (budget == 0) {
-    trace->finish(false);
-    done(VoidResult(Error::kTimeout, "operation deadline passed"));
-    return;
-  }
+  auto op = begin_op("client.p1.connect", std::move(done));
+  const ContextReadReq req{.owner = client_id_, .group = group};
   const std::size_t quorum = config_.context_quorum();
-  const std::size_t target_count =
-      std::min<std::size_t>(config_.n, quorum + round * config_.read_escalation_step);
-
-  ContextReadReq req;
-  req.owner = client_id_;
-  req.group = group;
-  const Bytes body = req.serialize();
 
   // Candidates are collected UNVERIFIED and checked lazily, newest first,
   // so the best case costs exactly one signature verification (§6: "in the
   // best case, context acquisition requires just one signature
   // verification").
-  auto candidates = std::make_shared<std::vector<StoredContext>>();
-  auto replies = std::make_shared<std::size_t>(0);
-  auto refused = std::make_shared<std::size_t>(0);
-  const std::vector<NodeId> targets = pick_servers(target_count);
-  const std::size_t target_total = targets.size();
-
-  trace->phase("quorum");
-  net::QuorumCall::start(
-      node_, targets, net::MsgType::kContextRead, body,
-      [this, candidates, replies, refused, target_total, group, quorum](
-          NodeId from, net::MsgType type, BytesView resp_body) {
-        if (note_wrong_shard(type, resp_body)) return true;
-        if (note_overloaded(from, type, resp_body)) {
-          // Fast refusal: when the refusals leave too few possible
-          // repliers, the round cannot reach quorum — end it now instead
-          // of burning the rest of the round timeout.
-          return target_total - ++*refused < quorum;
-        }
-        ++*replies;
+  struct Round {
+    std::vector<StoredContext> candidates;
+    std::size_t replies = 0;
+  };
+  retrying_quorum<Round>(
+      std::move(op), {net::MsgType::kContextRead, req.serialize(), quorum},
+      [this, quorum](unsigned round) { return escalated(quorum, round); },
+      [this, group, quorum](Round& r, NodeId, BytesView body) {
+        ++r.replies;
         try {
-          ContextReadResp resp = ContextReadResp::deserialize(resp_body);
+          ContextReadResp resp = ContextReadResp::deserialize(body);
           if (resp.stored.has_value() && resp.stored->owner == client_id_ &&
               resp.stored->context.group() == group) {
             const bool duplicate = std::any_of(
-                candidates->begin(), candidates->end(),
+                r.candidates.begin(), r.candidates.end(),
                 [&](const StoredContext& c) { return c.context == resp.stored->context; });
-            if (!duplicate) candidates->push_back(std::move(*resp.stored));
+            if (!duplicate) r.candidates.push_back(std::move(*resp.stored));
           }
         } catch (const DecodeError&) {
           // Faulty server sent garbage; still counts as a (useless) reply.
         }
-        return *replies >= quorum;
+        return r.replies >= quorum;
       },
-      [this, candidates, replies, refused, group, quorum, round, deadline, trace,
-       done](net::QuorumOutcome outcome, std::size_t) {
-        if (wrong_shard_pending()) {
-          trace->finish(false);
-          done(VoidResult(Error::kWrongShard, "server does not own this group's shard"));
-          return;
+      [this, group, quorum](auto& run) {
+        if (run.state.replies < quorum) {
+          return run.retry(run.failure("context read quorum not reached"));
         }
-        if (*replies >= quorum) {
-          trace->phase("verify");
-          // One client's honest contexts are totally ordered by dominance,
-          // so the pointwise timestamp sum is a valid newest-first sort
-          // key; forged "newer" contexts fail verification and we fall
-          // through to the next candidate.
-          std::sort(candidates->begin(), candidates->end(),
-                    [](const StoredContext& a, const StoredContext& b) {
-                      auto weight = [](const StoredContext& c) {
-                        std::uint64_t sum = 0;
-                        for (const auto& [item, ts] : c.context.entries()) sum += ts.time;
-                        return sum;
-                      };
-                      return weight(a) > weight(b);
-                    });
-          context_ = Context(group);
-          for (const StoredContext& candidate : *candidates) {
-            if (candidate.verify(keys_.public_key)) {
-              context_ = candidate.context;
-              break;
-            }
+        run.op->trace->phase("verify");
+        // One client's honest contexts are totally ordered by dominance, so
+        // the pointwise timestamp sum is a valid newest-first sort key;
+        // forged "newer" contexts fail verification and we fall through to
+        // the next candidate.
+        std::ranges::sort(run.state.candidates, std::greater<>{}, [](const StoredContext& c) {
+          std::uint64_t sum = 0;
+          for (const auto& [item, ts] : c.context.entries()) sum += ts.time;
+          return sum;
+        });
+        context_ = Context(group);
+        for (const StoredContext& candidate : run.state.candidates) {
+          if (candidate.verify(keys_.public_key)) {
+            context_ = candidate.context;
+            break;
           }
-          connected_ = true;
-          trace->finish(true);
-          done(VoidResult{});
-          return;
         }
-        const SimDuration backoff = std::max(retry_backoff(round), take_overload_hint());
-        if (round + 1 < options_.max_read_rounds &&
-            node_.transport().now() + backoff < deadline) {
-          trace->add("retries");
-          node_.transport().schedule(backoff, [this, group, round, deadline, trace, done]() {
-            connect_attempt(group, round + 1, deadline, trace, done);
-          });
-          return;
-        }
-        trace->finish(false);
-        done(VoidResult(round_error(*refused, outcome), "context read quorum not reached"));
-      },
-      net::QuorumCall::Options{budget, trace->ctx()});
+        connected_ = true;
+        run.finish(VoidResult{});
+      });
 }
 
 void SecureStoreClient::disconnect(VoidCb done) {
-  disconnect_attempt(/*round=*/0, op_deadline(), begin_trace("client.p1.disconnect"),
-                     std::move(done));
-}
-
-void SecureStoreClient::disconnect_attempt(unsigned round, SimTime deadline, Trace trace,
-                                           VoidCb done) {
-  const SimDuration budget = round_budget(deadline);
-  if (budget == 0) {
-    trace->finish(false);
-    done(VoidResult(Error::kTimeout, "operation deadline passed"));
-    return;
-  }
-  const std::size_t quorum = config_.context_quorum();
-  const std::size_t target_count =
-      std::min<std::size_t>(config_.n, quorum + round * config_.read_escalation_step);
-
-  trace->phase("sign");
-  StoredContext stored;
-  stored.owner = client_id_;
-  stored.context = context_;
-  stored.sign(keys_.seed);
-
+  auto op = begin_op("client.p1.disconnect", std::move(done));
+  // Signed once; escalation rounds resend the same body.
+  op->trace->phase("sign");
   ContextWriteReq req;
-  req.stored = std::move(stored);
-  const Bytes body = req.serialize();
+  req.stored.owner = client_id_;
+  req.stored.context = context_;
+  req.stored.sign(keys_.seed);
+  const std::size_t quorum = config_.context_quorum();
 
-  auto acks = std::make_shared<std::size_t>(0);
-  auto refused = std::make_shared<std::size_t>(0);
-  const std::vector<NodeId> targets = pick_servers(target_count);
-  const std::size_t target_total = targets.size();
-  trace->phase("quorum");
-  net::QuorumCall::start(
-      node_, targets, net::MsgType::kContextWrite, body,
-      [this, acks, refused, target_total, quorum](NodeId from, net::MsgType type,
-                                                  BytesView resp_body) {
-        if (note_wrong_shard(type, resp_body)) return true;
-        if (note_overloaded(from, type, resp_body)) {
-          return target_total - ++*refused < quorum;
-        }
+  retrying_quorum<std::size_t>(
+      std::move(op), {net::MsgType::kContextWrite, req.serialize(), quorum},
+      [this, quorum](unsigned round) { return escalated(quorum, round); },
+      [quorum](std::size_t& acks, NodeId, BytesView body) {
         try {
-          if (AckResp::deserialize(resp_body).ok) ++*acks;
+          if (AckResp::deserialize(body).ok) ++acks;
         } catch (const DecodeError&) {
         }
-        return *acks >= quorum;
+        return acks >= quorum;
       },
-      [this, acks, refused, quorum, round, deadline, trace, done](net::QuorumOutcome outcome,
-                                                                  std::size_t) {
-        if (wrong_shard_pending()) {
-          trace->finish(false);
-          done(VoidResult(Error::kWrongShard, "server does not own this group's shard"));
-          return;
+      [this, quorum](auto& run) {
+        if (run.state < quorum) {
+          return run.retry(run.failure("context write quorum not reached"));
         }
-        if (*acks >= quorum) {
-          connected_ = false;
-          trace->finish(true);
-          done(VoidResult{});
-          return;
-        }
-        const SimDuration backoff = std::max(retry_backoff(round), take_overload_hint());
-        if (round + 1 < options_.max_read_rounds &&
-            node_.transport().now() + backoff < deadline) {
-          trace->add("retries");
-          node_.transport().schedule(backoff, [this, round, deadline, trace, done]() {
-            disconnect_attempt(round + 1, deadline, trace, done);
-          });
-          return;
-        }
-        trace->finish(false);
-        done(VoidResult(round_error(*refused, outcome), "context write quorum not reached"));
-      },
-      net::QuorumCall::Options{budget, trace->ctx()});
+        connected_ = false;
+        run.finish(VoidResult{});
+      });
 }
 
 // ---------------------------------------------------------------------------
-// P2: context reconstruction (§5.1).
+// P2: context reconstruction and group listing (§5.1).
 // ---------------------------------------------------------------------------
 
-void SecureStoreClient::reconstruct_context(GroupId group, VoidCb done) {
+template <typename R, typename Finish>
+void SecureStoreClient::sweep_group(GroupId group, std::shared_ptr<Op<R>> op,
+                                    std::string failure, Finish finish) {
   // "These items must be read from all servers. Only the faulty servers may
-  // choose not to respond": require n-b responses.
+  // choose not to respond": one round to every server, n-b must answer.
   const std::size_t needed = config_.n - config_.b;
+  const ReconstructReq req{.group = group};
 
-  ReconstructReq req;
-  req.group = group;
-  const Bytes body = req.serialize();
-
-  auto rebuilt = std::make_shared<Context>(group);
-  auto replies = std::make_shared<std::size_t>(0);
-  auto refused = std::make_shared<std::size_t>(0);
-  const std::size_t target_total = config_.servers.size();
-
-  auto trace = begin_trace("client.p2.reconstruct");
-  trace->phase("quorum");
-  net::QuorumCall::start(
-      node_, config_.servers, net::MsgType::kReconstruct, body,
-      [this, rebuilt, replies, refused, target_total, needed, group](
-          NodeId from, net::MsgType type, BytesView resp_body) {
-        if (note_wrong_shard(type, resp_body)) return true;
-        if (note_overloaded(from, type, resp_body)) {
-          return target_total - ++*refused < needed;
-        }
-        ++*replies;
+  // item -> newest verified meta.
+  struct Round {
+    std::map<ItemId, WriteRecord> newest;
+    std::size_t replies = 0;
+  };
+  retrying_quorum<Round>(
+      std::move(op), {net::MsgType::kReconstruct, req.serialize(), needed},
+      [this](unsigned) { return config_.servers; },
+      [this, group](Round& r, NodeId, BytesView body) {
+        ++r.replies;
         try {
-          for (const WriteRecord& meta : ReconstructResp::deserialize(resp_body).metas) {
+          for (const WriteRecord& meta : ReconstructResp::deserialize(body).metas) {
             if (meta.group != group) continue;
             const Bytes* key = writer_key(meta.writer);
             // "the latest valid timestamp for each data item is used":
             // validity = the writer's signature over the meta-data verifies.
-            if (key != nullptr && meta.verify_meta(*key)) {
-              rebuilt->advance(meta.item, meta.ts);
-            }
+            if (key == nullptr || !meta.verify_meta(*key)) continue;
+            auto [it, inserted] = r.newest.try_emplace(meta.item, meta);
+            if (!inserted && it->second.ts < meta.ts) it->second = meta;
           }
         } catch (const DecodeError&) {
         }
         return false;  // hear from as many servers as possible
       },
-      [this, rebuilt, replies, refused, needed, trace, done](net::QuorumOutcome outcome,
-                                                             std::size_t) {
-        if (wrong_shard_pending()) {
-          trace->finish(false);
-          done(VoidResult(Error::kWrongShard, "server does not own this group's shard"));
-          return;
-        }
-        if (*replies >= needed) {
-          context_ = *rebuilt;
-          connected_ = true;
-          trace->finish(true);
-          done(VoidResult{});
-          return;
-        }
-        trace->finish(false);
-        done(VoidResult(round_error(*refused, outcome), "reconstruction needs n-b responses"));
-      },
-      net::QuorumCall::Options{options_.round_timeout, trace->ctx()});
+      [needed, failure = std::move(failure), finish = std::move(finish)](auto& run) {
+        if (run.state.replies < needed) return run.finish(run.failure(failure));
+        run.finish(finish(run.state.newest));
+      });
+}
+
+void SecureStoreClient::reconstruct_context(GroupId group, VoidCb done) {
+  sweep_group(group, begin_op("client.p2.reconstruct", std::move(done)),
+              "reconstruction needs n-b responses",
+              [this, group](const std::map<ItemId, WriteRecord>& newest) {
+                context_ = Context(group);
+                for (const auto& [item, meta] : newest) context_.advance(item, meta.ts);
+                connected_ = true;
+                return VoidResult{};
+              });
 }
 
 void SecureStoreClient::list_group(GroupId group, ListCb done) {
-  const std::size_t needed = config_.n - config_.b;
-
-  ReconstructReq req;
-  req.group = group;
-  const Bytes body = req.serialize();
-
-  // item -> newest verified meta.
-  auto newest = std::make_shared<std::map<ItemId, WriteRecord>>();
-  auto replies = std::make_shared<std::size_t>(0);
-  auto refused = std::make_shared<std::size_t>(0);
-  const std::size_t target_total = config_.servers.size();
-
-  auto trace = begin_trace("client.p2.list");
-  trace->phase("quorum");
-  net::QuorumCall::start(
-      node_, config_.servers, net::MsgType::kReconstruct, body,
-      [this, newest, replies, refused, target_total, needed, group](
-          NodeId from, net::MsgType type, BytesView resp_body) {
-        if (note_wrong_shard(type, resp_body)) return true;
-        if (note_overloaded(from, type, resp_body)) {
-          return target_total - ++*refused < needed;
-        }
-        ++*replies;
-        try {
-          for (const WriteRecord& meta : ReconstructResp::deserialize(resp_body).metas) {
-            if (meta.group != group) continue;
-            const Bytes* key = writer_key(meta.writer);
-            if (key == nullptr || !meta.verify_meta(*key)) continue;
-            auto [it, inserted] = newest->try_emplace(meta.item, meta);
-            if (!inserted && it->second.ts < meta.ts) it->second = meta;
-          }
-        } catch (const DecodeError&) {
-        }
-        return false;
-      },
-      [this, newest, replies, refused, needed, trace, done](net::QuorumOutcome outcome,
-                                                            std::size_t) {
-        if (wrong_shard_pending()) {
-          trace->finish(false);
-          done(Result<std::vector<GroupEntry>>(Error::kWrongShard,
-                                               "server does not own this group's shard"));
-          return;
-        }
-        if (*replies < needed) {
-          trace->finish(false);
-          done(Result<std::vector<GroupEntry>>(round_error(*refused, outcome),
-                                               "group listing needs n-b responses"));
-          return;
-        }
-        std::vector<GroupEntry> entries;
-        entries.reserve(newest->size());
-        for (const auto& [item, meta] : *newest) {
-          entries.push_back(GroupEntry{item, meta.ts, meta.writer});
-        }
-        trace->finish(true);
-        done(Result<std::vector<GroupEntry>>(std::move(entries)));
-      },
-      net::QuorumCall::Options{options_.round_timeout, trace->ctx()});
+  sweep_group(group, begin_op("client.p2.list", std::move(done)),
+              "group listing needs n-b responses",
+              [](const std::map<ItemId, WriteRecord>& newest) {
+                std::vector<GroupEntry> entries;
+                entries.reserve(newest.size());
+                for (const auto& [item, meta] : newest) {
+                  entries.push_back(GroupEntry{item, meta.ts, meta.writer});
+                }
+                return Result<std::vector<GroupEntry>>(std::move(entries));
+              });
 }
 
 // ---------------------------------------------------------------------------
@@ -575,126 +521,73 @@ Timestamp SecureStoreClient::next_timestamp(ItemId item, BytesView value_digest)
 }
 
 void SecureStoreClient::write(ItemId item, BytesView value, VoidCb done) {
-  auto trace = begin_trace(data_op_name("write"));
-  trace->phase("sign");
-  auto record = std::make_shared<WriteRecord>();
-  record->item = item;
-  record->group = options_.policy.group;
-  record->model = options_.policy.model;
-  record->writer = client_id_;
-  record->value = options_.codec->encode(item, value);
+  auto op = begin_op(data_op_name("write"), std::move(done));
+  op->trace->phase("sign");
+  WriteReq req;
+  req.token = options_.token;
+  WriteRecord& record = req.record;
+  record.item = item;
+  record.group = options_.policy.group;
+  record.model = options_.policy.model;
+  record.writer = client_id_;
+  record.value = options_.codec->encode(item, value);
 
-  const Bytes digest = crypto::meter_digest(record->value);
-  record->ts = next_timestamp(item, digest);
+  record.ts = next_timestamp(item, crypto::meter_digest(record.value));
 
   if (options_.policy.model == ConsistencyModel::kCC) {
     // The context written with the value includes the new self entry
     // (Fig. 2: t_j is incremented before the write message is formed).
-    Context writer_context = context_;
-    writer_context.set(item, record->ts);
-    record->writer_context = std::move(writer_context);
+    record.writer_context = context_;
+    record.writer_context.set(item, record.ts);
   } else {
-    record->writer_context = Context(options_.policy.group);
+    record.writer_context = Context(options_.policy.group);
   }
 
-  record->sign(keys_.seed);
+  record.sign(keys_.seed);
 
-  auto shares = std::make_shared<std::vector<Bytes>>();
-  send_write(record, write_set_size(), /*round=*/0, op_deadline(), shares, std::move(trace),
-             std::move(done));
-}
-
-void SecureStoreClient::send_write(std::shared_ptr<WriteRecord> record,
-                                   std::size_t target_count, unsigned round, SimTime deadline,
-                                   std::shared_ptr<std::vector<Bytes>> shares, Trace trace,
-                                   VoidCb done) {
-  const SimDuration budget = round_budget(deadline);
-  if (budget == 0) {
-    trace->finish(false);
-    done(VoidResult(Error::kTimeout, "operation deadline passed"));
-    return;
-  }
+  struct Round {
+    std::size_t acks = 0;
+    std::vector<Bytes> shares;
+  };
   const std::size_t quorum = write_set_size();
-
-  WriteReq req;
-  req.record = *record;
-  req.token = options_.token;
-  const Bytes body = req.serialize();
-
-  auto acks = std::make_shared<std::size_t>(0);
-  auto refused = std::make_shared<std::size_t>(0);
-  const std::vector<NodeId> targets = pick_servers(target_count);
-  const std::size_t target_total = targets.size();
-  trace->phase("quorum");
-  net::QuorumCall::start(
-      node_, targets, net::MsgType::kWrite, body,
-      [this, acks, refused, target_total, shares, quorum](NodeId from, net::MsgType type,
-                                                          BytesView resp_body) {
-        if (note_wrong_shard(type, resp_body)) return true;
-        if (note_overloaded(from, type, resp_body)) {
-          return target_total - ++*refused < quorum;
-        }
+  retrying_quorum<Round>(
+      std::move(op), {net::MsgType::kWrite, req.serialize(), quorum},
+      // Not enough acks: escalate to a larger server set, Fig. 2's
+      // "contact additional servers".
+      [this, quorum](unsigned round) { return escalated(quorum, round); },
+      [quorum](Round& r, NodeId, BytesView body) {
         try {
-          const WriteResp resp = WriteResp::deserialize(resp_body);
+          const WriteResp resp = WriteResp::deserialize(body);
           if (resp.ok) {
-            ++*acks;
-            if (!resp.stability_share.empty()) shares->push_back(resp.stability_share);
+            ++r.acks;
+            if (!resp.stability_share.empty()) r.shares.push_back(resp.stability_share);
           }
         } catch (const DecodeError&) {
         }
-        return *acks >= quorum;
+        return r.acks >= quorum;
       },
-      [this, record, target_count, round, deadline, shares, acks, refused, quorum, trace,
-       done](net::QuorumOutcome /*outcome*/, std::size_t) {
-        if (wrong_shard_pending()) {
-          trace->finish(false);
-          done(VoidResult(Error::kWrongShard, "server does not own this group's shard"));
-          return;
+      [this, item, ts = record.ts, quorum](auto& run) {
+        if (run.state.acks < quorum) {
+          return run.retry(run.failure("write quorum not reached after escalation"));
         }
-        if (*acks >= quorum) {
-          trace->finish(true);
-          finish_write(*record, done);
-          if (options_.stability_gc && !shares->empty() &&
-              shares->size() >= config_.stability_threshold()) {
-            broadcast_stability(*record, *shares, trace->ctx());
-          }
-          return;
+        context_.advance(item, ts);
+        run.finish(VoidResult{});
+        std::vector<Bytes>& shares = run.state.shares;
+        if (options_.stability_gc && !shares.empty() &&
+            shares.size() >= config_.stability_threshold()) {
+          broadcast_stability(item, ts, std::move(shares), run.op->trace->ctx());
         }
-        // Not enough acks: escalate to a larger server set, Fig. 2's
-        // "contact additional servers".
-        const SimDuration backoff = std::max(retry_backoff(round), take_overload_hint());
-        if (round + 1 >= options_.max_read_rounds ||
-            node_.transport().now() + backoff >= deadline) {
-          trace->finish(false);
-          done(VoidResult(*refused > 0 ? Error::kOverloaded : Error::kTimeout,
-                          "write quorum not reached after escalation"));
-          return;
-        }
-        trace->add("retries");
-        shares->clear();
-        const std::size_t next_targets =
-            std::min<std::size_t>(config_.n, target_count + config_.read_escalation_step);
-        node_.transport().schedule(
-            backoff, [this, record, next_targets, round, deadline, shares, trace, done]() {
-              send_write(record, next_targets, round + 1, deadline, shares, trace, done);
-            });
-      },
-      net::QuorumCall::Options{budget, trace->ctx()});
+      });
 }
 
-void SecureStoreClient::finish_write(const WriteRecord& record, VoidCb done) {
-  context_.advance(record.item, record.ts);
-  done(VoidResult{});
-}
-
-void SecureStoreClient::broadcast_stability(const WriteRecord& record,
+void SecureStoreClient::broadcast_stability(ItemId item, const Timestamp& ts,
                                             std::vector<Bytes> shares,
                                             const obs::TraceContext& trace) {
   // The ack order matched pick_servers(), so shares pair with those ids in
   // order of arrival; re-derive signer ids by verification against the
   // known server keys. (Cheap relative to the write itself and only on the
   // §5.3 path.)
-  crypto::MultisigCertificate cert(stability_statement(record.item, record.ts));
+  crypto::MultisigCertificate cert(stability_statement(item, ts));
   for (const Bytes& share : shares) {
     for (const auto& [server, key] : config_.server_keys) {
       if (crypto::meter_verify(key, cert.statement(), share)) {
@@ -706,8 +599,8 @@ void SecureStoreClient::broadcast_stability(const WriteRecord& record,
   if (cert.shares().size() < config_.stability_threshold()) return;
 
   StabilityMsg msg;
-  msg.item = record.item;
-  msg.ts = record.ts;
+  msg.item = item;
+  msg.ts = ts;
   msg.certificate = std::move(cert);
   const Bytes body = msg.serialize();
   for (const NodeId server : config_.servers) {
@@ -720,36 +613,18 @@ void SecureStoreClient::broadcast_stability(const WriteRecord& record,
 // ---------------------------------------------------------------------------
 
 void SecureStoreClient::read(ItemId item, ReadCb done) {
-  const bool hardened = options_.policy.sharing == SharingMode::kMultiWriter &&
-                        options_.policy.trust == ClientTrust::kByzantine;
-  auto trace = begin_trace(data_op_name("read"));
-  if (hardened) {
-    read_multi_writer(item, /*round=*/0, op_deadline(), std::move(trace), std::move(done));
-  } else {
-    read_single_writer(item, /*round=*/0, op_deadline(), std::move(trace), std::move(done));
-  }
+  auto op = begin_op(data_op_name("read"), std::move(done));
+  if (hardened()) return read_multi_writer(item, std::move(op));
+  read_single_writer(item, std::move(op));
 }
 
-void SecureStoreClient::read_single_writer(ItemId item, unsigned round, SimTime deadline,
-                                           Trace trace, ReadCb done) {
-  const SimDuration budget = round_budget(deadline);
-  if (budget == 0) {
-    trace->finish(false);
-    done(Result<ReadOutput>(Error::kTimeout, "operation deadline passed"));
-    return;
-  }
-  // Fig. 2 phase 1: "send (uid(x_j), t_j) to b+1 or more servers" — each
-  // escalation round widens the set.
-  const std::size_t target_count = std::min<std::size_t>(
-      config_.n, effective_b() + 1 + round * config_.read_escalation_step);
-
+void SecureStoreClient::read_single_writer(ItemId item, ReadOp op) {
   MetaReq req;
   req.item = item;
   req.group = options_.policy.group;
   req.requester = client_id_;
   req.include_value = options_.inline_reads;
   req.token = options_.token;
-  const Bytes body = req.serialize();
 
   // Replies are collected UNVERIFIED here; signatures are checked lazily,
   // best-candidate first, so the common case costs one verification —
@@ -760,32 +635,22 @@ void SecureStoreClient::read_single_writer(ItemId item, unsigned round, SimTime 
     NodeId from;
     bool value_included = false;
   };
-  auto metas = std::make_shared<std::vector<Advertised>>();
-  auto responders = std::make_shared<std::vector<NodeId>>();
-  auto refused = std::make_shared<std::size_t>(0);
-  auto targets = std::make_shared<std::vector<NodeId>>(pick_servers(target_count));
-  trace->phase("quorum");
-  net::QuorumCall::start(
-      node_, *targets, net::MsgType::kMetaRequest, body,
-      [this, metas, responders, refused, targets, item](NodeId from, net::MsgType type,
-                                                        BytesView resp_body) {
-        if (note_wrong_shard(type, resp_body)) return true;
-        if (note_overloaded(from, type, resp_body)) {
-          // A refusal is a response (not silence): the server is alive, so
-          // it must not feed the estimator's silent-evidence path.
-          responders->push_back(from);
-          // The meta round is useful with even one real reply; only a
-          // clean sweep of refusals ends it early.
-          return ++*refused >= targets->size();
-        }
-        responders->push_back(from);
+  using Out = Result<ReadOutput>;
+  retrying_quorum<std::vector<Advertised>>(
+      // The meta round is useful with even one real reply; only a clean
+      // sweep of refusals ends it early.
+      std::move(op), {net::MsgType::kMetaRequest, req.serialize(), 1},
+      // Fig. 2 phase 1: "send (uid(x_j), t_j) to b+1 or more servers" —
+      // each escalation round widens the set.
+      [this](unsigned round) { return escalated(effective_b() + 1, round); },
+      [this, item](std::vector<Advertised>& metas, NodeId from, BytesView body) {
         note_responded(from);
         try {
-          MetaResp resp = MetaResp::deserialize(resp_body);
+          MetaResp resp = MetaResp::deserialize(body);
           if (resp.meta.has_value() && resp.meta->item == item &&
               resp.meta->model == options_.policy.model &&
               writer_key(resp.meta->writer) != nullptr) {
-            metas->push_back(Advertised{std::move(*resp.meta), from, resp.value_included});
+            metas.push_back(Advertised{std::move(*resp.meta), from, resp.value_included});
           }
         } catch (const DecodeError&) {
           // Channels are authenticated (§4), so a malformed reply is
@@ -794,32 +659,23 @@ void SecureStoreClient::read_single_writer(ItemId item, unsigned round, SimTime 
         }
         return false;  // collect every reply in the round: we want max t_r
       },
-      [this, metas, responders, refused, targets, item, round, deadline, trace,
-       done](net::QuorumOutcome /*outcome*/, std::size_t) {
-        if (wrong_shard_pending()) {
-          trace->finish(false);
-          done(Result<ReadOutput>(Error::kWrongShard,
-                                  "server does not own this group's shard"));
-          return;
-        }
-        trace->phase("verify");
-        note_silent(*targets, *responders);
+      [this, item](auto& run) {
+        const std::vector<Advertised>& metas = run.state;
+        run.op->trace->phase("verify");
+        note_silent(run.targets, run.responders);
         // Multi-writer (honest) equivocation check. Unverified claims are
         // not enough to condemn a writer — a malicious server could frame
         // one — so an equivocating pair counts only if BOTH metas carry
         // valid writer signatures.
-        for (std::size_t i = 0; i < metas->size(); ++i) {
-          for (std::size_t j = i + 1; j < metas->size(); ++j) {
-            const WriteRecord& a = (*metas)[i].record;
-            const WriteRecord& b = (*metas)[j].record;
+        for (std::size_t i = 0; i < metas.size(); ++i) {
+          for (std::size_t j = i + 1; j < metas.size(); ++j) {
+            const WriteRecord& a = metas[i].record;
+            const WriteRecord& b = metas[j].record;
             if (!a.ts.equivocates(b.ts)) continue;
-            if (a.verify_meta(*writer_key(a.writer)) &&
-                b.verify_meta(*writer_key(b.writer))) {
-              trace->add("equivocations_seen");
-              trace->finish(false);
-              done(Result<ReadOutput>(Error::kFaultyWriter,
-                                      "equivocating timestamps in meta replies"));
-              return;
+            if (a.verify_meta(*writer_key(a.writer)) && b.verify_meta(*writer_key(b.writer))) {
+              run.op->trace->add("equivocations_seen");
+              return run.finish(
+                  Out(Error::kFaultyWriter, "equivocating timestamps in meta replies"));
             }
           }
         }
@@ -828,187 +684,115 @@ void SecureStoreClient::read_single_writer(ItemId item, unsigned round, SimTime 
         // t_r >= t_j (the client's context entry). Dedup identical claims.
         const Timestamp floor = context_.get(item);
         std::vector<Advertised> candidates;
-        for (const Advertised& meta : *metas) {
+        for (const Advertised& meta : metas) {
           if (meta.record.ts < floor) continue;
           const bool duplicate =
               std::any_of(candidates.begin(), candidates.end(), [&](const Advertised& c) {
                 return c.record.ts == meta.record.ts &&
                        c.record.value_digest == meta.record.value_digest;
               });
-          if (duplicate) continue;
-          candidates.push_back(meta);
+          if (!duplicate) candidates.push_back(meta);
         }
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const Advertised& a, const Advertised& b) {
-                    return newer(a.record, b.record);
-                  });
+        std::ranges::sort(candidates, newer, &Advertised::record);
 
-        if (!candidates.empty()) {
-          if (options_.inline_reads) {
-            // Values rode along with the metas: verify best-first and
-            // accept the first that proves out.
-            for (const Advertised& candidate : candidates) {
-              if (candidate.value_included &&
-                  candidate.record.verify(*writer_key(candidate.record.writer))) {
-                if (options_.read_repair) {
-                  // Push the accepted record to responders that advertised
-                  // something older (or nothing).
-                  WriteReq repair;
-                  repair.record = candidate.record;
-                  repair.token = options_.token;
-                  const Bytes repair_body = repair.serialize();
-                  for (const NodeId responder : *responders) {
-                    const bool lagging = std::none_of(
-                        metas->begin(), metas->end(), [&](const Advertised& m) {
-                          return m.from == responder && !(m.record.ts < candidate.record.ts);
-                        });
-                    if (lagging) {
-                      node_.send_request(responder, net::MsgType::kWrite, repair_body,
-                                         [](NodeId, net::MsgType, BytesView) {},
-                                         trace->ctx());
-                    }
-                  }
+        if (!candidates.empty() && !options_.inline_reads) {
+          // Fig. 2 phase 2, which ends in its own retry when no candidate
+          // can be substantiated from this round's servers.
+          auto wanted = std::make_shared<std::vector<Timestamp>>();
+          for (const Advertised& candidate : candidates) wanted->push_back(candidate.record.ts);
+          return fetch_candidate(
+              item, run.op, std::move(wanted),
+              std::make_shared<const std::vector<NodeId>>(
+                  escalated(effective_b() + 1, run.round)),
+              /*index=*/0, [self = run.self.lock()] {
+                self->retry(Out(Error::kStale, "no advertised value could be fetched"));
+              });
+        }
+        // Values rode along with the metas: verify best-first and accept
+        // the first that proves out.
+        for (const Advertised& candidate : candidates) {
+          if (candidate.value_included &&
+              candidate.record.verify(*writer_key(candidate.record.writer))) {
+            if (options_.read_repair) {
+              // Push the accepted record to responders that advertised
+              // something older (or nothing).
+              WriteReq repair;
+              repair.record = candidate.record;
+              repair.token = options_.token;
+              const Bytes repair_body = repair.serialize();
+              for (const NodeId responder : run.responders) {
+                const bool lagging =
+                    std::none_of(metas.begin(), metas.end(), [&](const Advertised& m) {
+                      return m.from == responder && !(m.record.ts < candidate.record.ts);
+                    });
+                if (lagging) {
+                  node_.send_request(responder, net::MsgType::kWrite, repair_body,
+                                     [](NodeId, net::MsgType, BytesView) {},
+                                     run.op->trace->ctx());
                 }
-                accept_read(candidate.record, trace, done);
-                return;
               }
-              // A server advertising an unverifiable record is provably
-              // faulty (correct servers validate before storing).
-              note_forgery(candidate.from);
             }
-            // Every advertised candidate was a lie: fall through to
-            // escalation below.
-          } else {
-            const std::size_t fetch_targets =
-                std::min<std::size_t>(config_.n, effective_b() + 1 +
-                                                     round * config_.read_escalation_step);
-            auto fetchable = std::make_shared<std::vector<WriteRecord>>();
-            for (Advertised& candidate : candidates) {
-              fetchable->push_back(std::move(candidate.record));
-            }
-            fetch_candidate(item, std::move(fetchable),
-                            std::make_shared<std::vector<NodeId>>(pick_servers(fetch_targets)),
-                            /*candidate_idx=*/0, /*server_idx=*/0, round, deadline, trace,
-                            done);
-            return;
+            return run.finish(accept_read(candidate.record));
           }
+          // A server advertising an unverifiable record is provably faulty
+          // (correct servers validate before storing).
+          note_forgery(candidate.from);
         }
 
-        // Stale (or nothing at all): escalate or give up.
-        const SimDuration backoff = std::max(retry_backoff(round), take_overload_hint());
-        if (round + 1 < options_.max_read_rounds &&
-            node_.transport().now() + backoff < deadline) {
-          trace->add("retries");
-          node_.transport().schedule(backoff, [this, item, round, deadline, trace, done]() {
-            read_single_writer(item, round + 1, deadline, trace, done);
-          });
-          return;
+        // Stale, every candidate a lie, or nothing at all: escalate or
+        // give up.
+        if (metas.empty() && run.refused > 0) {
+          return run.retry(Out(Error::kOverloaded, "servers shed the read"));
         }
-        trace->finish(false);
-        if (metas->empty() && *refused > 0) {
-          done(Result<ReadOutput>(Error::kOverloaded, "servers shed the read"));
-          return;
-        }
-        done(Result<ReadOutput>(metas->empty() ? Error::kNotFound : Error::kStale,
-                                metas->empty() ? "no server returned the item"
-                                               : "all replies older than context"));
-      },
-      net::QuorumCall::Options{budget, trace->ctx()});
+        run.retry(metas.empty() ? Out(Error::kNotFound, "no server returned the item")
+                                : Out(Error::kStale, "all replies older than context"));
+      });
 }
 
-void SecureStoreClient::fetch_candidate(ItemId item,
-                                        std::shared_ptr<std::vector<WriteRecord>> candidates,
-                                        std::shared_ptr<std::vector<NodeId>> servers,
-                                        std::size_t candidate_idx, std::size_t server_idx,
-                                        unsigned round, SimTime deadline, Trace trace,
-                                        ReadCb done) {
-  if (candidate_idx >= candidates->size()) {
-    // No candidate could be substantiated from this round's servers:
-    // escalate (Fig. 2: "contact additional servers or try later").
-    const SimDuration backoff = std::max(retry_backoff(round), take_overload_hint());
-    if (round + 1 < options_.max_read_rounds &&
-        node_.transport().now() + backoff < deadline) {
-      trace->add("retries");
-      node_.transport().schedule(backoff, [this, item, round, deadline, trace, done]() {
-        read_single_writer(item, round + 1, deadline, trace, done);
-      });
-    } else {
-      trace->finish(false);
-      done(Result<ReadOutput>(Error::kStale, "no advertised value could be fetched"));
-    }
-    return;
-  }
-  if (server_idx >= servers->size()) {
-    fetch_candidate(item, candidates, servers, candidate_idx + 1, 0, round, deadline, trace,
-                    done);
-    return;
-  }
-  const SimDuration budget = round_budget(deadline);
-  if (budget == 0) {
-    trace->finish(false);
-    done(Result<ReadOutput>(Error::kTimeout, "operation deadline passed"));
-    return;
-  }
-
-  const Timestamp target_ts = (*candidates)[candidate_idx].ts;
-
+void SecureStoreClient::fetch_candidate(ItemId item, ReadOp op,
+                                        std::shared_ptr<const std::vector<Timestamp>> wanted,
+                                        std::shared_ptr<const std::vector<NodeId>> servers,
+                                        std::size_t index, std::function<void()> exhausted) {
+  if (index >= wanted->size() * servers->size()) return exhausted();
+  const Timestamp target_ts = (*wanted)[index / servers->size()];
   ReadReq req;
   req.item = item;
   req.group = options_.policy.group;
   req.ts = target_ts;
   req.requester = client_id_;
   req.token = options_.token;
-  const Bytes body = req.serialize();
 
-  auto accepted = std::make_shared<std::optional<WriteRecord>>();
-  trace->phase("fetch");
-  net::QuorumCall::start(
-      node_, {(*servers)[server_idx]}, net::MsgType::kRead, body,
-      [this, accepted, item, target_ts](NodeId from, net::MsgType type, BytesView resp_body) {
-        if (note_wrong_shard(type, resp_body)) return true;
-        // A shed fetch just moves on to the next server; the breaker and
-        // hint bookkeeping still run.
-        if (note_overloaded(from, type, resp_body)) return true;
+  // One single-server round; a refusal or a useless reply moves on to the
+  // next server, then to the next candidate.
+  retrying_quorum<std::optional<WriteRecord>>(
+      std::move(op), {net::MsgType::kRead, req.serialize(), 1, "fetch"},
+      [server = (*servers)[index % servers->size()]](unsigned) {
+        return std::vector<NodeId>{server};
+      },
+      [this, item, target_ts](std::optional<WriteRecord>& accepted, NodeId, BytesView body) {
         try {
-          ReadResp resp = ReadResp::deserialize(resp_body);
+          ReadResp resp = ReadResp::deserialize(body);
           if (resp.record.has_value() && resp.record->item == item &&
-              resp.record->model == options_.policy.model &&
-              !(resp.record->ts < target_ts)) {
+              resp.record->model == options_.policy.model && !(resp.record->ts < target_ts)) {
             const Bytes* key = writer_key(resp.record->writer);
             // Full verification: meta signature AND value matches d(v) —
             // "accept v if the signature is valid" (Fig. 2).
-            if (key != nullptr && resp.record->verify(*key)) {
-              *accepted = std::move(*resp.record);
-            }
+            if (key != nullptr && resp.record->verify(*key)) accepted = std::move(*resp.record);
           }
         } catch (const DecodeError&) {
         }
         return true;  // single-server call: a reply ends it either way
       },
-      [this, accepted, item, candidates, servers, candidate_idx, server_idx, round, deadline,
-       trace, done](net::QuorumOutcome /*outcome*/, std::size_t) {
-        if (wrong_shard_pending()) {
-          trace->finish(false);
-          done(Result<ReadOutput>(Error::kWrongShard,
-                                  "server does not own this group's shard"));
-          return;
-        }
-        if (accepted->has_value()) {
-          accept_read(**accepted, trace, done);
-          return;
-        }
-        fetch_candidate(item, candidates, servers, candidate_idx, server_idx + 1, round,
-                        deadline, trace, done);
-      },
-      net::QuorumCall::Options{budget, trace->ctx()});
+      [this, item, wanted, servers, index, exhausted](auto& run) {
+        if (run.state.has_value()) return run.finish(accept_read(*run.state));
+        fetch_candidate(item, run.op, wanted, servers, index + 1, exhausted);
+      });
 }
 
-void SecureStoreClient::accept_read(const WriteRecord& record, Trace trace, ReadCb done) {
+Result<ReadOutput> SecureStoreClient::accept_read(const WriteRecord& record) {
   const auto decoded = options_.codec->decode(record.item, record.value);
   if (!decoded.has_value()) {
-    trace->finish(false);
-    done(Result<ReadOutput>(Error::kBadSignature, "value failed authenticated decryption"));
-    return;
+    return Result<ReadOutput>(Error::kBadSignature, "value failed authenticated decryption");
   }
 
   // Context evolution per Fig. 2: MRC advances only this item's entry; CC
@@ -1018,13 +802,7 @@ void SecureStoreClient::accept_read(const WriteRecord& record, Trace trace, Read
     context_.merge(record.writer_context);
   }
   context_.advance(record.item, record.ts);
-
-  ReadOutput output;
-  output.value = *decoded;
-  output.ts = record.ts;
-  output.writer = record.writer;
-  trace->finish(true);
-  done(Result<ReadOutput>(std::move(output)));
+  return ReadOutput{*decoded, record.ts, record.writer};
 }
 
 // ---------------------------------------------------------------------------
@@ -1032,54 +810,37 @@ void SecureStoreClient::accept_read(const WriteRecord& record, Trace trace, Read
 // appears in b+1 of them.
 // ---------------------------------------------------------------------------
 
-void SecureStoreClient::read_multi_writer(ItemId item, unsigned round, SimTime deadline,
-                                          Trace trace, ReadCb done) {
-  const SimDuration budget = round_budget(deadline);
-  if (budget == 0) {
-    trace->finish(false);
-    done(Result<ReadOutput>(Error::kTimeout, "operation deadline passed"));
-    return;
-  }
-  const std::size_t target_count = std::min<std::size_t>(
-      config_.n, config_.data_quorum_byzantine() + round * config_.read_escalation_step);
-
+void SecureStoreClient::read_multi_writer(ItemId item, ReadOp op) {
   LogReadReq req;
   req.item = item;
   req.group = options_.policy.group;
   req.requester = client_id_;
   req.token = options_.token;
-  const Bytes body = req.serialize();
 
   struct Tally {
     WriteRecord record;
     std::size_t servers = 0;
   };
-  auto tallies = std::make_shared<std::vector<Tally>>();
-  auto faulty_votes = std::make_shared<std::size_t>(0);
-  auto any_log_entry = std::make_shared<bool>(false);
-  auto refused = std::make_shared<std::size_t>(0);
-  const std::vector<NodeId> targets = pick_servers(target_count);
-  const std::size_t target_total = targets.size();
-
-  trace->phase("quorum");
-  net::QuorumCall::start(
-      node_, targets, net::MsgType::kLogRead, body,
-      [this, tallies, faulty_votes, any_log_entry, refused, target_total, item](
-          NodeId from, net::MsgType type, BytesView resp_body) {
-        if (note_wrong_shard(type, resp_body)) return true;
-        if (note_overloaded(from, type, resp_body)) {
-          // b+1 matching logs become impossible once too many servers
-          // refuse: end the round without waiting out the timeout.
-          return target_total - ++*refused < config_.agreement_threshold();
-        }
+  struct Round {
+    std::vector<Tally> tallies;
+    std::size_t faulty_votes = 0;
+    bool any_log_entry = false;
+  };
+  using Out = Result<ReadOutput>;
+  const std::size_t agreement = config_.agreement_threshold();
+  retrying_quorum<Round>(
+      // b+1 matching logs become impossible once too many servers refuse.
+      std::move(op), {net::MsgType::kLogRead, req.serialize(), agreement},
+      [this](unsigned round) { return escalated(config_.data_quorum_byzantine(), round); },
+      [this, item](Round& r, NodeId, BytesView body) {
         try {
-          LogReadResp resp = LogReadResp::deserialize(resp_body);
-          if (resp.faulty_writer) ++*faulty_votes;
+          LogReadResp resp = LogReadResp::deserialize(body);
+          if (resp.faulty_writer) ++r.faulty_votes;
           // Count each distinct write at most once per server.
           std::vector<std::pair<Timestamp, Bytes>> seen;
           for (const WriteRecord& record : resp.records) {
             if (record.item != item || record.model != options_.policy.model) continue;
-            *any_log_entry = true;
+            r.any_log_entry = true;
             const bool duplicate_in_reply =
                 std::any_of(seen.begin(), seen.end(), [&](const auto& s) {
                   return s.first == record.ts && s.second == record.value_digest;
@@ -1087,11 +848,11 @@ void SecureStoreClient::read_multi_writer(ItemId item, unsigned round, SimTime d
             if (duplicate_in_reply) continue;
             seen.emplace_back(record.ts, record.value_digest);
 
-            auto it = std::find_if(tallies->begin(), tallies->end(), [&](const Tally& t) {
+            auto it = std::find_if(r.tallies.begin(), r.tallies.end(), [&](const Tally& t) {
               return t.record.ts == record.ts && t.record.value_digest == record.value_digest;
             });
-            if (it == tallies->end()) {
-              tallies->push_back(Tally{record, 1});
+            if (it == r.tallies.end()) {
+              r.tallies.push_back(Tally{record, 1});
             } else {
               ++it->servers;
             }
@@ -1100,23 +861,15 @@ void SecureStoreClient::read_multi_writer(ItemId item, unsigned round, SimTime d
         }
         return false;  // need the full 2b+1 round for the b+1 count
       },
-      [this, tallies, faulty_votes, any_log_entry, refused, item, round, deadline, trace,
-       done](net::QuorumOutcome /*outcome*/, std::size_t) {
-        if (wrong_shard_pending()) {
-          trace->finish(false);
-          done(Result<ReadOutput>(Error::kWrongShard,
-                                  "server does not own this group's shard"));
-          return;
-        }
-        trace->phase("verify");
+      [this, item, agreement](auto& run) {
+        const Round& r = run.state;
+        run.op->trace->phase("verify");
         // b+1 servers vouching for "this writer equivocated" means at least
         // one correct server saw it.
-        if (*faulty_votes >= config_.agreement_threshold()) {
-          trace->add("equivocations_seen");
-          trace->finish(false);
-          done(Result<ReadOutput>(Error::kFaultyWriter,
-                                  "b+1 servers flagged the writer as equivocating"));
-          return;
+        if (r.faulty_votes >= agreement) {
+          run.op->trace->add("equivocations_seen");
+          return run.finish(
+              Out(Error::kFaultyWriter, "b+1 servers flagged the writer as equivocating"));
         }
 
         // "accept a value as valid only if b+1 or more servers reply with
@@ -1124,8 +877,8 @@ void SecureStoreClient::read_multi_writer(ItemId item, unsigned round, SimTime d
         // context floor.
         const Timestamp floor = context_.get(item);
         const WriteRecord* best = nullptr;
-        for (const Tally& tally : *tallies) {
-          if (tally.servers < config_.agreement_threshold()) continue;
+        for (const Tally& tally : r.tallies) {
+          if (tally.servers < agreement) continue;
           if (tally.record.ts < floor) continue;
           if (best == nullptr || best->ts < tally.record.ts) best = &tally.record;
         }
@@ -1134,30 +887,17 @@ void SecureStoreClient::read_multi_writer(ItemId item, unsigned round, SimTime d
           // here (§6: "Clients do not have to do signature verification for
           // a read now since non-malicious servers do the validation before
           // reporting") — b+1 matching logs include at least one honest one.
-          accept_read(*best, trace, done);
-          return;
+          return run.finish(accept_read(*best));
         }
 
-        const SimDuration backoff = std::max(retry_backoff(round), take_overload_hint());
-        if (round + 1 < options_.max_read_rounds &&
-            node_.transport().now() + backoff < deadline) {
-          trace->add("retries");
-          node_.transport().schedule(backoff, [this, item, round, deadline, trace, done]() {
-            read_multi_writer(item, round + 1, deadline, trace, done);
-          });
-          return;
+        if (!r.any_log_entry && run.refused > 0) {
+          return run.retry(Out(Error::kOverloaded, "servers shed the read"));
         }
-        trace->finish(false);
-        if (!*any_log_entry && *refused > 0) {
-          done(Result<ReadOutput>(Error::kOverloaded, "servers shed the read"));
-          return;
-        }
-        done(Result<ReadOutput>(*any_log_entry ? Error::kNoAgreement : Error::kNotFound,
-                                *any_log_entry
-                                    ? "no value matched in b+1 logs at or above the context"
-                                    : "no server logged the item"));
-      },
-      net::QuorumCall::Options{budget, trace->ctx()});
+        run.retry(r.any_log_entry
+                      ? Out(Error::kNoAgreement,
+                            "no value matched in b+1 logs at or above the context")
+                      : Out(Error::kNotFound, "no server logged the item"));
+      });
 }
 
 }  // namespace securestore::core

@@ -178,21 +178,39 @@ class SecureStoreClient {
  private:
   using Trace = std::shared_ptr<obs::OpTrace>;
 
-  /// Opens an OpTrace on the transport clock (virtual under sim, wall on
-  /// real transports). `op` is the full metric prefix, e.g. "client.p4.read".
-  Trace begin_trace(std::string op);
   /// The protocol number the group policy routes `verb` to: p3/p4 for
   /// single-writer write/read, p5 for honest multi-writer, p6 for the §5.3
   /// Byzantine-client path. Returns e.g. "client.p6.write".
   std::string data_op_name(std::string_view verb) const;
 
-  // Retry discipline: every operation carries one absolute deadline
-  // (now + config.op_timeout at the start of the op). Each quorum round's
-  // timeout is the smaller of round_timeout and what remains of the
-  // deadline; failed rounds wait retry_backoff() before going again.
+  // Retry discipline (DESIGN.md §9): every operation is one retrying quorum
+  // with one absolute deadline (now + config.op_timeout at op start). A
+  // single driver, Rounds, runs every round of every protocol: it clamps the
+  // round timeout to round_budget(), picks the round's targets, intercepts
+  // misroutes and refusals, ends a round early once targets − refused <
+  // min_useful, and on "retry" waits max(retry_backoff(), retry-after hint)
+  // before a wider round. Protocols supply only the request, target rule,
+  // min_useful, reply fold and a continuation that finishes or retries.
+  // P2 is the same driver with one round.
+  template <typename R>
+  struct Op;
+  struct QuorumSpec;
+  template <typename R, typename State, typename Targets, typename Fold, typename Settle>
+  struct Rounds;
+  using ReadOp = std::shared_ptr<Op<Result<ReadOutput>>>;
 
-  /// The absolute deadline for an operation starting now.
-  SimTime op_deadline() const;
+  /// Opens an operation: its OpTrace named `name` (e.g. "client.p4.read"),
+  /// its deadline (now + op_timeout) and its callback.
+  template <typename R>
+  std::shared_ptr<Op<R>> begin_op(std::string name, std::function<void(R)> done);
+  /// Runs `op` as rounds of `spec`: round r contacts targets(r), feeds each
+  /// useful reply to fold(State&, from, body) (true ends the round), then
+  /// hands the driver to settle(), which calls finish(R) or retry(R).
+  template <typename State, typename R, typename Targets, typename Fold, typename Settle>
+  void retrying_quorum(std::shared_ptr<Op<R>> op, QuorumSpec spec, Targets targets, Fold fold,
+                       Settle settle);
+  /// Round r's escalated set: the first min(n, base + r·step) picks.
+  std::vector<NodeId> escalated(std::size_t base, unsigned round) const;
   /// This round's quorum-call timeout: min(round_timeout, deadline - now);
   /// 0 when the deadline has already passed (the round must not start).
   SimDuration round_budget(SimTime deadline) const;
@@ -200,48 +218,34 @@ class SecureStoreClient {
   /// `round` failed (0-based). Consumes one rng draw.
   SimDuration retry_backoff(unsigned round);
 
-  // Session helpers: like data ops, context ops start with the exact §6
-  // quorum and escalate to more servers when members fail to respond.
-  void connect_attempt(GroupId group, unsigned round, SimTime deadline, Trace trace,
-                       VoidCb done);
-  void disconnect_attempt(unsigned round, SimTime deadline, Trace trace, VoidCb done);
-
-  // Write path helpers.
   Timestamp next_timestamp(ItemId item, BytesView value_digest);
-  void send_write(std::shared_ptr<WriteRecord> record, std::size_t target_count,
-                  unsigned round, SimTime deadline, std::shared_ptr<std::vector<Bytes>> shares,
-                  Trace trace, VoidCb done);
-  void finish_write(const WriteRecord& record, VoidCb done);
-  void broadcast_stability(const WriteRecord& record, std::vector<Bytes> shares,
+  void broadcast_stability(ItemId item, const Timestamp& ts, std::vector<Bytes> shares,
                            const obs::TraceContext& trace);
+  /// P2's sweep: the newest verified meta per item from n-b servers, mapped to R by `finish`.
+  template <typename R, typename Finish>
+  void sweep_group(GroupId group, std::shared_ptr<Op<R>> op, std::string failure,
+                   Finish finish);
 
-  // Read paths.
-  void read_single_writer(ItemId item, unsigned round, SimTime deadline, Trace trace,
-                          ReadCb done);
-  /// Fig. 2 phase 2: fetch the value for candidates[candidate_idx] from
-  /// servers[server_idx], falling through servers then candidates then
-  /// escalation rounds.
-  void fetch_candidate(ItemId item, std::shared_ptr<std::vector<WriteRecord>> candidates,
-                       std::shared_ptr<std::vector<NodeId>> servers, std::size_t candidate_idx,
-                       std::size_t server_idx, unsigned round, SimTime deadline, Trace trace,
-                       ReadCb done);
-  void read_multi_writer(ItemId item, unsigned round, SimTime deadline, Trace trace,
-                         ReadCb done);
+  void read_single_writer(ItemId item, ReadOp op);
+  /// Fig. 2 phase 2: fetch wanted[index / servers] from servers[index % servers],
+  /// falling through servers, then candidates, then to `exhausted`.
+  void fetch_candidate(ItemId item, ReadOp op,
+                       std::shared_ptr<const std::vector<Timestamp>> wanted,
+                       std::shared_ptr<const std::vector<NodeId>> servers, std::size_t index,
+                       std::function<void()> exhausted);
+  void read_multi_writer(ItemId item, ReadOp op);
+  /// Decodes an accepted record and advances the context (Fig. 2).
+  Result<ReadOutput> accept_read(const WriteRecord& record);
 
-  void accept_read(const WriteRecord& record, Trace trace, ReadCb done);
-
-  /// kWrongShard interception, checked first in every quorum reply handler:
-  /// a misroute rejection ends the operation (returning true finishes the
-  /// quorum call), stashing the attached ring for take_wrong_shard_ring().
+  /// kWrongShard interception: a misroute rejection ends the operation,
+  /// stashing the attached ring for take_wrong_shard_ring().
   bool note_wrong_shard(net::MsgType type, BytesView resp_body);
   bool wrong_shard_pending() const { return !wrong_shard_ring_.empty(); }
 
-  /// kOverloaded interception (DESIGN.md §13), checked right after
-  /// note_wrong_shard in every reply handler. On a refusal it counts
+  /// kOverloaded interception (DESIGN.md §13). On a refusal it counts
   /// `client.refused`, feeds the circuit breaker, verifies + clamps the
-  /// retry-after hint, and returns true — the caller then decides whether
-  /// the round is still winnable. Any other reply closes the sender's
-  /// breaker (the server is answering again) and returns false.
+  /// retry-after hint, and returns true. Any other reply closes the
+  /// sender's breaker (the server is answering again) and returns false.
   bool note_overloaded(NodeId from, net::MsgType type, BytesView resp_body);
   /// The largest clamped retry-after hint seen since the last call (or op
   /// start); consumed by the retry scheduling that honors it.
@@ -250,8 +254,10 @@ class SecureStoreClient {
   /// round failed because servers shed, not because they were silent).
   Error round_error(std::size_t refused, net::QuorumOutcome outcome) const;
 
-  std::vector<NodeId> pick_servers(std::size_t count, std::size_t skip = 0) const;
+  std::vector<NodeId> pick_servers(std::size_t count) const;
   const Bytes* writer_key(ClientId writer) const;
+  /// §5.3 Byzantine-client multi-writer policy (P6).
+  bool hardened() const;
   std::size_t write_set_size() const;
   /// The effective fault bound: estimator's f̂ when dynamic quorums are on,
   /// otherwise the static b.
@@ -297,7 +303,7 @@ class SecureStoreClient {
   };
   std::unordered_map<std::uint32_t, Breaker> breakers_;
   /// Largest clamped retry-after hint since op start; cleared by
-  /// begin_trace and take_overload_hint.
+  /// begin_op and take_overload_hint.
   SimDuration overload_hint_ = 0;
 };
 

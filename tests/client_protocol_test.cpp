@@ -4,7 +4,15 @@
 // advertisements, cross-item confusion, §5.3 ordering).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/sync.h"
+#include "crypto/keys.h"
+#include "net/quorum.h"
 #include "storage/item_store.h"
 #include "storage/snapshot.h"
 #include "testkit/cluster.h"
@@ -250,10 +258,158 @@ TEST(ClientProtocol, ReplayedOldContextWriteRefusedByServers) {
   EXPECT_EQ(to_string(*result), "v2");
 }
 
+/// Latches one server's admission controller for good (DESIGN.md §13): a
+/// same-instant burst of probes through a briefly finite service time
+/// pushes its net backlog past `net_backlog_high`, and with
+/// `net_backlog_low = 0` the latch never releases. The server then refuses
+/// every client request with a signed retry-after hint.
+void latch_server(Cluster& cluster, std::size_t index) {
+  core::MetaReq probe_req;
+  probe_req.item = ItemId{999};
+  probe_req.group = kGroup;
+  probe_req.requester = ClientId{999};
+  const Bytes body = probe_req.serialize();
+  net::RpcNode probe(cluster.transport(), NodeId{4999});
+  cluster.transport().set_service_time(cluster.server_node(index), milliseconds(1));
+  for (int i = 0; i < 8; ++i) {
+    net::QuorumCall::start(
+        probe, {cluster.server_node(index)}, net::MsgType::kMetaRequest, body,
+        [](NodeId, net::MsgType, BytesView) { return true; },
+        [](net::QuorumOutcome, std::size_t) {}, net::QuorumOptions{milliseconds(200), {}});
+  }
+  cluster.run_for(milliseconds(300));
+  cluster.transport().set_service_time(cluster.server_node(index), 0);
+}
+
+TEST(ClientProtocol, RetryPathsAreDeterministic) {
+  // Cross-commit determinism pin for every retrying quorum path. A fixed
+  // seed drives connect and write through escalation past a crashed
+  // server; an inline read past a value-corrupting server; a two-phase
+  // read whose only candidate no fetch server can substantiate, so it
+  // falls through every fetch and retries; a P6 write and read into a
+  // permanently shedding server (verified retry-after hint, breaker trip);
+  // and a group listing that absorbs a refusal. The expected figures were
+  // captured from the per-protocol retry loops the shared driver replaced:
+  // any drift in retries, fault accounting, message count, crypto count or
+  // virtual time fails here.
+  ClusterOptions options;
+  options.seed = 1401;
+  options.start_gossip = false;
+  options.server_faults = {{1, {faults::ServerFault::kStaleData}},
+                           {3, {faults::ServerFault::kCorruptValues}}};
+  options.admission.net_backlog_high = 2;
+  options.admission.net_backlog_low = 0;  // a latched server stays latched
+  options.admission.retry_after_min = milliseconds(120);
+  options.admission.retry_after_max = milliseconds(120);
+  Cluster cluster(options);
+  constexpr GroupId kShared{2};
+  constexpr ItemId kY{11};
+  const GroupPolicy p6_policy{kShared, ConsistencyModel::kMRC, SharingMode::kMultiWriter,
+                              core::ClientTrust::kByzantine};
+  cluster.set_group_policy(mrc_policy());
+  cluster.set_group_policy(p6_policy);
+  crypto::CryptoMeter& meter = crypto::CryptoMeter::instance();
+  meter.reset();
+
+  auto make = [&](ClientId id, SecureStoreClient::Options opts, std::vector<NodeId> order) {
+    opts.breaker_threshold = 2;
+    auto client = cluster.make_client(id, std::move(opts));
+    client->set_server_preference(std::move(order));
+    return client;
+  };
+  auto writer = make(ClientId{1}, client_options(), {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}});
+  auto inline_reader =
+      make(ClientId{2}, client_options(), {NodeId{3}, NodeId{0}, NodeId{1}, NodeId{2}});
+  auto two_phase_options = client_options();
+  two_phase_options.inline_reads = false;
+  auto two_phase_reader =
+      make(ClientId{3}, two_phase_options, {NodeId{3}, NodeId{1}, NodeId{0}, NodeId{2}});
+  auto p6_options = client_options();
+  p6_options.policy = p6_policy;
+  auto p6 = make(ClientId{4}, p6_options, {NodeId{2}, NodeId{0}, NodeId{1}, NodeId{3}});
+  SyncClient writer_sync(*writer, cluster.scheduler());
+  SyncClient inline_sync(*inline_reader, cluster.scheduler());
+  SyncClient two_phase_sync(*two_phase_reader, cluster.scheduler());
+  SyncClient p6_sync(*p6, cluster.scheduler());
+
+  // Server 1 down: the connect's context quorum {0,1,2} and the write's
+  // b+1 set {0,1} both time out once and escalate.
+  cluster.stop_server(1);
+  ASSERT_TRUE(writer_sync.connect(kGroup).ok());
+  ASSERT_TRUE(writer_sync.write(kX, to_bytes("v1")).ok());
+  cluster.start_server(1);
+
+  // Server 1 (stale-data) freezes its value answer at v2 before it ever
+  // advertises: a direct fetch is its first kRead for the item.
+  ASSERT_TRUE(writer_sync.write(kX, to_bytes("v2")).ok());
+  {
+    core::ReadReq fetch;
+    fetch.item = kX;
+    fetch.group = kGroup;
+    fetch.requester = ClientId{9};
+    net::RpcNode injector(cluster.transport(), NodeId{4000});
+    injector.send_request(NodeId{1}, net::MsgType::kRead, fetch.serialize(),
+                          [](NodeId, net::MsgType, BytesView) {});
+    cluster.run_for(milliseconds(100));
+  }
+  ASSERT_TRUE(writer_sync.write(kX, to_bytes("v3")).ok());
+
+  // Inline read of {3,0} through the corrupting server 3.
+  const auto inline_read = inline_sync.read_value(kX);
+  ASSERT_TRUE(inline_read.ok()) << error_name(inline_read.error());
+  EXPECT_EQ(to_string(*inline_read), "v3");
+  // Two-phase read: of {3,1}, only server 1 advertises (v3), then serves
+  // its frozen v2 while server 3 corrupts, so every fetch falls through
+  // and the read retries over every server, server 2 silent.
+  cluster.stop_server(2);
+  const auto two_phase_read = two_phase_sync.read_value(kX);
+  ASSERT_TRUE(two_phase_read.ok()) << error_name(two_phase_read.error());
+  EXPECT_EQ(to_string(*two_phase_read), "v3");
+  cluster.start_server(2);
+
+  // Server 2 sheds from now on. The P6 write's {2,0,1} round is lost to
+  // one refusal and waits out the signed hint before escalating; the read
+  // takes the second refusal, which opens server 2's breaker.
+  latch_server(cluster, 2);
+  ASSERT_TRUE(p6_sync.write(kY, to_bytes("p6 value")).ok());
+  const auto p6_read = p6_sync.read_value(kY);
+  ASSERT_TRUE(p6_read.ok()) << error_name(p6_read.error());
+  EXPECT_EQ(to_string(*p6_read), "p6 value");
+  EXPECT_TRUE(p6->breaker_open(NodeId{2}));
+
+  const auto listing = writer_sync.list_group(kGroup);
+  ASSERT_TRUE(listing.ok()) << error_name(listing.error());
+  EXPECT_EQ(listing->size(), 1u);
+
+  std::map<std::string, std::uint64_t> observed;
+  for (const auto& [name, value] : cluster.registry().snapshot().counters) {
+    if (name.rfind("client.", 0) == 0) observed[name] = value;
+  }
+  observed["messages_sent"] = cluster.transport_stats().messages_sent;
+  observed["crypto.signs"] = meter.signs;
+  observed["crypto.verifies"] = meter.verifies;
+  observed["crypto.digests"] = meter.digests;
+  observed["now_us"] = cluster.scheduler().now();
+  const std::map<std::string, std::uint64_t> expected = {
+      {"client.breaker_trips", 1},     {"client.deadline_exceeded", 0},
+      {"client.fault.forgery", 3},     {"client.fault.silent", 1},
+      {"client.p1.connect.ops", 1},    {"client.p1.connect.retries", 1},
+      {"client.p2.list.ops", 1},       {"client.p3.write.ops", 3},
+      {"client.p3.write.retries", 1},  {"client.p4.read.ops", 2},
+      {"client.p4.read.retries", 1},   {"client.p6.read.ops", 1},
+      {"client.p6.write.ops", 1},      {"client.p6.write.retries", 1},
+      {"client.refused", 3},           {"crypto.digests", 25},
+      {"crypto.signs", 10},            {"crypto.verifies", 42},
+      {"messages_sent", 105},          {"now_us", 1152219},
+  };
+  EXPECT_EQ(observed, expected);
+}
+
 TEST(ClientProtocol, ExpiredDeadlineFailsWithDeadlineError) {
   // op_timeout = 0 makes every operation's absolute deadline "now": the
   // round budget must clamp to zero and fail the op with a deadline error
-  // instead of wrapping `deadline - now` into a huge round timeout.
+  // instead of wrapping `deadline - now` into a huge round timeout. The P2
+  // sweeps are bound by the same deadline as every other operation.
   ClusterOptions options;
   options.start_gossip = false;
   options.op_timeout = 0;
@@ -262,14 +418,63 @@ TEST(ClientProtocol, ExpiredDeadlineFailsWithDeadlineError) {
 
   auto client = cluster.make_client(ClientId{1}, client_options());
   SyncClient sync(*client, cluster.scheduler());
-  const auto result = sync.write(kX, to_bytes("never lands"));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error(), Error::kTimeout);
-  EXPECT_EQ(result.detail(), "operation deadline passed");
+  using Outcome = std::pair<Error, std::string>;
+  const std::vector<std::pair<std::string, std::function<Outcome()>>> operations = {
+      {"write",
+       [&] {
+         const auto r = sync.write(kX, to_bytes("never lands"));
+         return Outcome{r.error(), r.detail()};
+       }},
+      {"read",
+       [&] {
+         const auto r = sync.read(kX);
+         return Outcome{r.error(), r.detail()};
+       }},
+      {"reconstruct_context",
+       [&] {
+         const auto r = sync.reconstruct_context(kGroup);
+         return Outcome{r.error(), r.detail()};
+       }},
+      {"list_group",
+       [&] {
+         const auto r = sync.list_group(kGroup);
+         return Outcome{r.error(), r.detail()};
+       }},
+  };
+  for (const auto& [name, run] : operations) {
+    SCOPED_TRACE(name);
+    const Outcome outcome = run();
+    EXPECT_EQ(outcome.first, Error::kTimeout) << error_name(outcome.first);
+    EXPECT_EQ(outcome.second, "operation deadline passed");
+  }
 
   const auto* exceeded = cluster.registry().find_counter("client.deadline_exceeded");
   ASSERT_NE(exceeded, nullptr);
-  EXPECT_GE(exceeded->value(), 1u);
+  EXPECT_EQ(exceeded->value(), operations.size());
+}
+
+TEST(ClientProtocol, DisconnectSignsOnceAcrossEscalation) {
+  // The context is signed once per disconnect, not once per round: a
+  // round lost to a crashed member of the first ⌈(n+b+1)/2⌉ pick escalates
+  // with the same signed body.
+  ClusterOptions options;
+  options.start_gossip = false;
+  Cluster cluster(options);
+  cluster.set_group_policy(mrc_policy());
+
+  auto client = cluster.make_client(ClientId{1}, client_options());
+  client->set_server_preference({NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}});
+  SyncClient sync(*client, cluster.scheduler());
+  ASSERT_TRUE(sync.connect(kGroup).ok());
+  ASSERT_TRUE(sync.write(kX, to_bytes("v1")).ok());
+  cluster.stop_server(1);  // in the first context-quorum pick {0,1,2}
+
+  const std::uint64_t signs_before = crypto::CryptoMeter::instance().signs;
+  ASSERT_TRUE(sync.disconnect().ok());
+  EXPECT_EQ(crypto::CryptoMeter::instance().signs - signs_before, 1u);
+  const auto* retries = cluster.registry().find_counter("client.p1.disconnect.retries");
+  ASSERT_NE(retries, nullptr);
+  EXPECT_EQ(retries->value(), 1u) << "round 0 must time out and escalate";
 }
 
 TEST(ClientProtocol, BackoffOvershootingDeadlineFailsInsteadOfHanging) {

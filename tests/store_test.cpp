@@ -549,15 +549,19 @@ TEST(SecureStore, AuthorizationEnforced) {
   Cluster cluster(options);
   cluster.set_group_policy(mrc_policy());
 
-  // Without a token, writes are rejected (no ok acks -> timeout after
-  // escalation) — use a tight timeout to keep the test quick.
+  // Without a token, every server promptly rejects the write: no round
+  // collects an ok ack, so after escalation the op fails with
+  // kInsufficientQuorum, like any op whose servers all answer without a
+  // quorum. A tight timeout keeps the test quick.
   auto no_token_options = client_options(mrc_policy());
   no_token_options.round_timeout = milliseconds(50);
   no_token_options.max_read_rounds = 2;
   auto intruder = cluster.make_client(ClientId{2}, no_token_options);
   SyncClient intruder_sync(*intruder, cluster.scheduler());
   ASSERT_TRUE(intruder_sync.connect(kGroup).ok());
-  EXPECT_FALSE(intruder_sync.write(kX1, to_bytes("sneak")).ok());
+  const auto sneak = intruder_sync.write(kX1, to_bytes("sneak"));
+  ASSERT_FALSE(sneak.ok());
+  EXPECT_EQ(sneak.error(), Error::kInsufficientQuorum) << error_name(sneak.error());
 
   // With a token, everything works.
   auto authorized_options = client_options(mrc_policy());
@@ -578,7 +582,9 @@ TEST(SecureStore, AuthorizationEnforced) {
   auto reader = cluster.make_client(ClientId{3}, reader_options);
   SyncClient reader_sync(*reader, cluster.scheduler());
   ASSERT_TRUE(reader_sync.connect(kGroup).ok());
-  EXPECT_FALSE(reader_sync.write(kX1, to_bytes("overreach")).ok());
+  const auto overreach = reader_sync.write(kX1, to_bytes("overreach"));
+  ASSERT_FALSE(overreach.ok());
+  EXPECT_EQ(overreach.error(), Error::kInsufficientQuorum) << error_name(overreach.error());
   EXPECT_TRUE(reader_sync.read_value(kX1).ok());
 }
 
