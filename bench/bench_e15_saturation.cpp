@@ -68,7 +68,7 @@ void verify_micro_table(BenchJson& json) {
     for (std::size_t i = 0; i < batch; ++i) {
       pairs.push_back(crypto::KeyPair::generate(rng));
       messages.push_back(rng.bytes(128));
-      signatures.push_back(crypto::ed25519_sign(pairs.back().seed, messages.back()));
+      signatures.push_back(crypto::ed25519_sign(pairs.back(), messages.back()));
     }
     std::vector<crypto::BatchVerifyItem> items;
     for (std::size_t i = 0; i < batch; ++i) {
@@ -106,7 +106,7 @@ void verify_micro_table(BenchJson& json) {
     table.end_row();
   }
   std::printf(
-      "\nStraus' trick shares the 256 point doublings across the whole\n"
+      "\nStraus' trick shares the ~253 point doublings across the whole\n"
       "batch; per-signature cost falls toward the addition chains alone.\n\n");
 }
 
@@ -228,7 +228,7 @@ void saturation_table(BenchJson& json, std::shared_ptr<obs::Registry>& batched_r
       "\nmax_batch=1 re-creates the per-request handoff; max_batch=32 lets\n"
       "the dispatcher drain bursts and the server verify them as one batch.\n"
       "End-to-end gains are smaller than verify_micro because client-side\n"
-      "signing (unbatchable) shares the same core.\n");
+      "signing (unbatchable) runs on the same dispatcher thread.\n");
 }
 
 void run() {

@@ -138,8 +138,8 @@ void primitive_timings() {
   };
 
   const double sign_us =
-      time_us([&] { (void)crypto::ed25519_sign(pair.seed, message); }, 50);
-  const Bytes signature = crypto::ed25519_sign(pair.seed, message);
+      time_us([&] { (void)crypto::ed25519_sign(pair, message); }, 50);
+  const Bytes signature = crypto::ed25519_sign(pair, message);
   const double verify_us = time_us(
       [&] { (void)crypto::ed25519_verify(pair.public_key, message, signature); }, 50);
   const double digest_us = time_us([&] { (void)crypto::sha256(message); }, 2000);

@@ -220,8 +220,8 @@ void lan_crossover() {
                .count() /
            iterations;
   };
-  const double sign_us = time_us([&] { (void)crypto::ed25519_sign(pair.seed, message); }, 30);
-  const Bytes signature = crypto::ed25519_sign(pair.seed, message);
+  const double sign_us = time_us([&] { (void)crypto::ed25519_sign(pair, message); }, 30);
+  const Bytes signature = crypto::ed25519_sign(pair, message);
   const double verify_us = time_us(
       [&] { (void)crypto::ed25519_verify(pair.public_key, message, signature); }, 30);
   const double mac_us =

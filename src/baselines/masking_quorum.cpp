@@ -158,7 +158,7 @@ void MqClient::write(ItemId item, BytesView value, VoidCb done) {
         entry.ts = *max_ts + 1;
         entry.writer = client_id_;
         entry.value = value;
-        entry.signature = crypto::meter_sign(keys_.seed, entry.signed_payload(item));
+        entry.signature = crypto::meter_sign(keys_, entry.signed_payload(item));
 
         Writer w;
         w.u64(item.value);

@@ -44,7 +44,7 @@ AuthToken Authorizer::issue(ClientId client, GroupId group, Rights rights,
   token.group = group;
   token.rights = rights;
   token.expiry = expiry;
-  token.signature = crypto::meter_sign(seed_, token.signed_payload());
+  token.signature = crypto::meter_sign(authority_, token.signed_payload());
   return token;
 }
 

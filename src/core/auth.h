@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/ids.h"
 #include "util/serial.h"
@@ -42,12 +43,12 @@ struct AuthToken {
 /// The issuing side of the authorization service.
 class Authorizer {
  public:
-  explicit Authorizer(Bytes authority_seed) : seed_(std::move(authority_seed)) {}
+  explicit Authorizer(crypto::KeyPair authority) : authority_(std::move(authority)) {}
 
   AuthToken issue(ClientId client, GroupId group, Rights rights, SimTime expiry = 0) const;
 
  private:
-  Bytes seed_;
+  crypto::KeyPair authority_;
 };
 
 /// The verifying side (runs at each server).

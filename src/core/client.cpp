@@ -410,7 +410,7 @@ void SecureStoreClient::disconnect(VoidCb done) {
   ContextWriteReq req;
   req.stored.owner = client_id_;
   req.stored.context = context_;
-  req.stored.sign(keys_.seed);
+  req.stored.sign(keys_);
   const std::size_t quorum = config_.context_quorum();
 
   retrying_quorum<std::size_t>(
@@ -543,7 +543,7 @@ void SecureStoreClient::write(ItemId item, BytesView value, VoidCb done) {
     record.writer_context = Context(options_.policy.group);
   }
 
-  record.sign(keys_.seed);
+  record.sign(keys_);
 
   struct Round {
     std::size_t acks = 0;

@@ -20,12 +20,12 @@ Bytes WriteRecord::signed_payload() const {
   return w.take();
 }
 
-void WriteRecord::sign(BytesView writer_seed) {
+void WriteRecord::sign(const crypto::KeyPair& writer) {
   value_digest = crypto::meter_digest(value);
   if (!ts.digest.empty() && ts.digest != value_digest) {
     throw std::invalid_argument("WriteRecord::sign: ts.digest does not match d(v)");
   }
-  signature = crypto::meter_sign(writer_seed, signed_payload());
+  signature = crypto::meter_sign(writer, signed_payload());
 }
 
 bool WriteRecord::verify(BytesView writer_public_key) const {
@@ -94,8 +94,8 @@ Bytes StoredContext::signed_payload() const {
   return w.take();
 }
 
-void StoredContext::sign(BytesView owner_seed) {
-  signature = crypto::meter_sign(owner_seed, signed_payload());
+void StoredContext::sign(const crypto::KeyPair& owner) {
+  signature = crypto::meter_sign(owner, signed_payload());
 }
 
 bool StoredContext::verify(BytesView owner_public_key) const {

@@ -19,6 +19,7 @@
 #include "core/context.h"
 #include "core/timestamp.h"
 #include "core/types.h"
+#include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/ids.h"
 
@@ -58,7 +59,7 @@ struct WriteRecord {
 
   /// Computes d(v), fills `value_digest`, signs. For multi-writer records
   /// the caller must have set ts.digest = d(v) first (checked).
-  void sign(BytesView writer_seed);
+  void sign(const crypto::KeyPair& writer);
 
   /// Full verification: signature over the meta-data AND value matches d(v).
   bool verify(BytesView writer_public_key) const;
@@ -86,7 +87,7 @@ struct StoredContext {
   Bytes signature;
 
   Bytes signed_payload() const;
-  void sign(BytesView owner_seed);
+  void sign(const crypto::KeyPair& owner);
   bool verify(BytesView owner_public_key) const;
 
   void encode(Writer& w) const;

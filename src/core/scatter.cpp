@@ -114,7 +114,7 @@ void ScatteredStore::write(ItemId item, BytesView value, VoidCb done) {
     record.ts = Timestamp{version_, {}, {}};
     record.writer_context = Context(options_.policy.group);
     record.value = payload.serialize();
-    record.sign(keys_.seed);
+    record.sign(keys_);
 
     WriteReq req;
     req.record = std::move(record);

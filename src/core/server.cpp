@@ -596,7 +596,7 @@ const Bytes& SecureStoreServer::overloaded_body(std::uint32_t retry_after_us) {
   if (it == overload_bodies_.end()) {
     OverloadedResp resp;
     resp.retry_after_us = retry_after_us;
-    resp.signature = crypto::meter_sign(keys_.seed, overload_statement(retry_after_us));
+    resp.signature = crypto::meter_sign(keys_, overload_statement(retry_after_us));
     it = overload_bodies_.emplace(retry_after_us, resp.serialize()).first;
   }
   return it->second;
@@ -868,7 +868,7 @@ Bytes SecureStoreServer::handle_write(const WriteReq& req) {
   if (visible && policy.sharing == SharingMode::kMultiWriter &&
       policy.trust == ClientTrust::kByzantine) {
     resp.stability_share =
-        crypto::meter_sign(keys_.seed, stability_statement(record.item, record.ts));
+        crypto::meter_sign(keys_, stability_statement(record.item, record.ts));
   }
   return resp.serialize();
 }

@@ -48,8 +48,8 @@ std::array<std::uint8_t, 64> batch_coefficient_seed(const std::vector<BatchVerif
   return h.finish();
 }
 
-/// z_i: 128-bit, little-endian in a 32-byte scalar, forced odd so no
-/// coefficient annihilates a small-torsion point mod the cofactor.
+/// z_i: 128-bit, little-endian in a 32-byte scalar, forced odd (so never
+/// zero).
 void derive_coefficient(std::uint8_t out[32], BytesView seed, std::uint64_t index) {
   Sha512 h;
   h.update(seed);
@@ -120,23 +120,14 @@ BatchVerifyResult ed25519_batch_verify(const std::vector<BatchVerifyItem>& items
     std::uint8_t b_scalar[32] = {0};
     for (const BatchTerm& term : terms) scalar_add(b_scalar, b_scalar, term.zs);
 
-    // Interleaved (Straus) multi-scalar multiplication: one MSB-first walk
-    // over 256 bits, doubling the accumulator once per bit and adding every
-    // point whose scalar has that bit set — the doublings are what single
-    // verification pays 2x512 of, and here the whole batch shares 256.
-    Ge acc = ge_identity();
-    for (int bit = 255; bit >= 0; --bit) {
-      acc = ge_double(acc);
-      const std::size_t byte = static_cast<std::size_t>(bit / 8);
-      const int shift = bit % 8;
-      if ((b_scalar[byte] >> shift) & 1) acc = ge_add(acc, ge_base());
-      for (const BatchTerm& term : terms) {
-        if ((term.zk[byte] >> shift) & 1) acc = ge_add(acc, term.a_neg);
-        if ((term.z[byte] >> shift) & 1) acc = ge_add(acc, term.r_neg);
-      }
+    std::vector<MsmTerm> msm;
+    msm.reserve(2 * terms.size());
+    for (const BatchTerm& term : terms) {
+      msm.push_back(MsmTerm{term.zk, term.a_neg});
+      msm.push_back(MsmTerm{term.z, term.r_neg});
     }
 
-    if (ge_is_identity(acc)) {
+    if (ge_is_identity(ge_mul_by_cofactor(ge_multiscalar_vartime(b_scalar, msm)))) {
       for (const BatchTerm& term : terms) result.valid[term.index] = true;
     } else {
       // One bad signature poisons the whole sum; isolate it by falling back

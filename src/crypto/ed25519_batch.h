@@ -1,17 +1,16 @@
 // Batched Ed25519 verification.
 //
-// The server hot path is CPU-bound on per-message signature checks: one
-// ed25519_verify costs two full 256-bit scalar multiplications (512 point
-// doublings + ~256 additions). Batch verification amortizes the doublings:
-// draw one small random coefficient z_i per signature and check the single
-// combined equation
+// The server hot path is CPU-bound on per-message signature checks. Batch
+// verification draws one small random coefficient z_i per signature and
+// checks the single combined equation
 //
 //   [sum z_i * S_i] B  ==  sum [z_i] R_i  +  sum [z_i * k_i] A_i
 //
-// with ONE interleaved multi-scalar multiplication whose 256 doublings are
-// shared by every term (Straus' trick). Per signature that leaves roughly
-// one 128-bit and one 256-bit addition chain (~190 point additions), so a
-// batch of 16+ verifies ~3-4x faster than one-at-a-time.
+// with the same multi-scalar core single verification uses
+// (ge_multiscalar_vartime in ed25519_internal.h): one w-NAF Straus pass
+// whose ~253 doublings and the B-side additions are shared by every term.
+// Per signature that leaves the width-5 tables of A_i and R_i and their
+// additions (the z_i are 128-bit, so R_i's chain is half length).
 //
 // Failure isolation: if the combined equation fails — one bad signature
 // poisons the sum — every item is re-checked individually with
@@ -24,10 +23,14 @@
 // the deterministic simulator and the chaos replay assertion depend on
 // that. Forging a batch that cancels requires choosing signatures whose
 // defects are orthogonal to coefficients that depend on those very
-// signatures, i.e. breaking the hash. Coefficients are forced odd so a
-// single small-torsion defect (an already-malleable signature only its own
-// author can produce) can never vanish mod the cofactor; see DESIGN.md for
-// the residual batch-vs-single divergence rule.
+// signatures, i.e. breaking the hash.
+//
+// Both this and ed25519_verify check the cofactored equation (multiplied
+// through by 8, RFC 8032 §5.1.7). Without the factor 8 the two could
+// disagree: two signatures whose defects are the same order-2 point cancel
+// in any sum with odd coefficients, yet each fails alone. With it, a
+// small-torsion defect (which only the key owner can produce) is ignored
+// by both, and batch and single verification agree item by item.
 #pragma once
 
 #include <vector>

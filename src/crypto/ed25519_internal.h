@@ -1,371 +1,105 @@
-// Ed25519 internals shared between single verify (ed25519.cpp) and batch
-// verify (ed25519_batch.cpp).
+// Ed25519 internals shared by signing and single verify (ed25519.cpp) and
+// batch verify (ed25519_batch.cpp); implemented in ed25519_internal.cpp.
 //
-// Everything here used to live in an anonymous namespace inside ed25519.cpp;
-// it is hoisted into this header-only internal namespace so the batch
-// verifier can reuse the exact same field/group/scalar arithmetic — batch
-// and single verification must agree bit-for-bit on what a valid point or
-// canonical scalar is, and the only way to guarantee that is to share the
-// code. Not part of the public crypto API: include only from crypto/*.cpp
-// and crypto tests.
+// Batch and single verification must agree bit-for-bit on what a valid
+// point or canonical scalar is, and on the arithmetic that checks the
+// equation, so both run through the two scalar-multiplication routines
+// declared here:
+//  * ge_scalarmult_base: [a]B for a SECRET a (signing nonce, key
+//    generation). Signed radix-16 fixed-base comb over a 32x8 table of
+//    multiples of B (the ref10 technique, Bernstein et al. 2011); every
+//    table lookup scans all 8 candidates with masks, so neither the memory
+//    access pattern nor the branches depend on a.
+//  * ge_multiscalar_vartime: [b]B + sum [s_i]P_i over PUBLIC inputs only
+//    (verification). Straus' interleaving with width-8 w-NAF digits over a
+//    static table of odd multiples of B and width-5 digits over a per-call
+//    table for each P_i; it branches on the scalars' digits.
+// Not part of the public crypto API: include only from crypto/*.cpp and
+// crypto tests.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <cstring>
-#include <stdexcept>
+#include <span>
 
 #include "crypto/ed25519.h"
 #include "crypto/fe25519.h"
-#include "crypto/sha2.h"
 #include "util/bytes.h"
 
 namespace securestore::crypto::ed25519_internal {
 
-using u64 = std::uint64_t;
-using u128 = unsigned __int128;
-
 // ---------------------------------------------------------------------------
-// Field arithmetic: shared 51-bit-limb implementation in crypto/fe25519.h;
-// thin aliases keep the group code readable.
-// ---------------------------------------------------------------------------
-
-using Fe = fe25519::Fe;
-
-constexpr Fe kFeZero = fe25519::kZero;
-constexpr Fe kFeOne = fe25519::kOne;
-
-inline Fe fe_from_bytes(const std::uint8_t s[32]) { return fe25519::from_bytes(s); }
-inline void fe_to_bytes(std::uint8_t s[32], const Fe& f) { fe25519::to_bytes(s, f); }
-inline Fe fe_add(const Fe& a, const Fe& b) { return fe25519::add(a, b); }
-inline Fe fe_sub(const Fe& a, const Fe& b) { return fe25519::sub(a, b); }
-inline Fe fe_neg(const Fe& a) { return fe25519::neg(a); }
-inline Fe fe_mul(const Fe& a, const Fe& b) { return fe25519::mul(a, b); }
-inline Fe fe_sq(const Fe& a) { return fe25519::sq(a); }
-inline bool fe_is_zero(const Fe& a) { return fe25519::is_zero(a); }
-inline bool fe_equal(const Fe& a, const Fe& b) { return fe25519::equal(a, b); }
-inline bool fe_is_negative(const Fe& a) { return fe25519::is_negative(a); }
-inline Fe fe_invert(const Fe& a) { return fe25519::invert(a); }
-inline Fe fe_pow22523(const Fe& a) { return fe25519::pow22523(a); }
-
-// Curve constants as canonical little-endian bytes (RFC 8032):
-// d = -121665/121666 mod p, and sqrt(-1) mod p.
-constexpr std::uint8_t kDBytes[32] = {
-    0xa3, 0x78, 0x59, 0x13, 0xca, 0x4d, 0xeb, 0x75, 0xab, 0xd8, 0x41,
-    0x41, 0x4d, 0x0a, 0x70, 0x00, 0x98, 0xe8, 0x79, 0x77, 0x79, 0x40,
-    0xc7, 0x8c, 0x73, 0xfe, 0x6f, 0x2b, 0xee, 0x6c, 0x03, 0x52};
-constexpr std::uint8_t kSqrtM1Bytes[32] = {
-    0xb0, 0xa0, 0x0e, 0x4a, 0x27, 0x1b, 0xee, 0xc4, 0x78, 0xe4, 0x2f,
-    0xad, 0x06, 0x18, 0x43, 0x2f, 0xa7, 0xd7, 0xfb, 0x3d, 0x99, 0x00,
-    0x4d, 0x2b, 0x0b, 0xdf, 0xc1, 0x4f, 0x80, 0x24, 0x83, 0x2b};
-
-inline const Fe& fe_d() {
-  static const Fe d = fe_from_bytes(kDBytes);
-  return d;
-}
-
-inline const Fe& fe_2d() {
-  static const Fe two_d = fe_add(fe_d(), fe_d());
-  return two_d;
-}
-
-inline const Fe& fe_sqrtm1() {
-  static const Fe s = fe_from_bytes(kSqrtM1Bytes);
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// Group operations: extended twisted-Edwards coordinates (X:Y:Z:T), a = -1.
+// Group: extended twisted-Edwards coordinates (X:Y:Z:T), a = -1, with
+// x = X/Z, y = Y/Z and xy = T/Z.
 // ---------------------------------------------------------------------------
 
 struct Ge {
-  Fe x, y, z, t;
+  fe25519::Fe x, y, z, t;
 };
 
-inline Ge ge_identity() { return Ge{kFeZero, kFeOne, kFeOne, kFeZero}; }
+Ge ge_identity();
+/// The base point B (y = 4/5, x positive; RFC 8032).
+const Ge& ge_base();
+Ge ge_add(const Ge& p, const Ge& q);
+Ge ge_double(const Ge& p);
+Ge ge_neg(const Ge& p);
 
-/// Unified addition (add-2008-hwcd-3 structure, complete for Ed25519).
-inline Ge ge_add(const Ge& p, const Ge& q) {
-  const Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
-  const Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
-  const Fe c = fe_mul(fe_mul(p.t, fe_2d()), q.t);
-  const Fe d = fe_mul(fe_add(p.z, p.z), q.z);
-  const Fe e = fe_sub(b, a);
-  const Fe f = fe_sub(d, c);
-  const Fe g = fe_add(d, c);
-  const Fe h = fe_add(b, a);
-  return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
-}
+void ge_compress(std::uint8_t out[32], const Ge& p);
+/// Decompresses a point; false if the encoding is non-canonical (y >= p,
+/// or x = 0 with the sign bit set) or not on the curve.
+bool ge_decompress(Ge& out, const std::uint8_t in[32]);
+/// True iff p is the group identity (projective check, no inversion).
+bool ge_is_identity(const Ge& p);
+/// [8]p: clears any small-torsion component (the curve has cofactor 8).
+Ge ge_mul_by_cofactor(const Ge& p);
 
-/// Doubling (dbl-2008-hwcd).
-inline Ge ge_double(const Ge& p) {
-  const Fe a = fe_sq(p.x);
-  const Fe b = fe_sq(p.y);
-  const Fe c = fe_add(fe_sq(p.z), fe_sq(p.z));
-  const Fe d = fe_neg(a);  // a = -1 curve parameter
-  const Fe e = fe_sub(fe_sub(fe_sq(fe_add(p.x, p.y)), a), b);
-  const Fe g = fe_add(d, b);
-  const Fe f = fe_sub(g, c);
-  const Fe h = fe_sub(d, b);
-  return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
-}
+/// [a]B in constant time. `a` is 32 little-endian bytes with a[31] <= 127
+/// (true of any scalar mod L and of a clamped secret scalar).
+Ge ge_scalarmult_base(const std::uint8_t a[32]);
 
-inline Ge ge_neg(const Ge& p) { return Ge{fe_neg(p.x), p.y, p.z, fe_neg(p.t)}; }
+/// Width-w non-adjacent form of a scalar s < 2^255 (s[31] <= 127),
+/// 2 <= w <= 8: s = sum naf[i] 2^i, every nonzero digit odd with
+/// |digit| < 2^(w-1), and any w consecutive digits hold at most one
+/// nonzero.
+void wnaf(std::int8_t naf[256], const std::uint8_t s[32], int w);
 
-/// Scalar multiplication, plain MSB-first double-and-add. `scalar` is 32
-/// little-endian bytes.
-inline Ge ge_scalar_mul(const Ge& p, const std::uint8_t scalar[32]) {
-  Ge r = ge_identity();
-  for (int i = 255; i >= 0; --i) {
-    r = ge_double(r);
-    if ((scalar[i / 8] >> (i % 8)) & 1) r = ge_add(r, p);
-  }
-  return r;
-}
-
-inline void ge_compress(std::uint8_t out[32], const Ge& p) {
-  const Fe zinv = fe_invert(p.z);
-  const Fe x = fe_mul(p.x, zinv);
-  const Fe y = fe_mul(p.y, zinv);
-  fe_to_bytes(out, y);
-  if (fe_is_negative(x)) out[31] |= 0x80;
-}
-
-/// True iff p is the group identity (projective check, no inversion):
-/// identity has X = 0 and Y = Z.
-inline bool ge_is_identity(const Ge& p) {
-  return fe_is_zero(p.x) && fe_equal(p.y, p.z);
-}
-
-/// Decompresses a point; returns false if the encoding is not on the curve.
-inline bool ge_decompress(Ge& out, const std::uint8_t in[32]) {
-  std::uint8_t y_bytes[32];
-  std::memcpy(y_bytes, in, 32);
-  const bool sign = (y_bytes[31] & 0x80) != 0;
-  y_bytes[31] &= 0x7f;
-
-  const Fe y = fe_from_bytes(y_bytes);
-  // Reject non-canonical y (>= p). fe_from_bytes reduces silently, so
-  // re-serialize and compare.
-  std::uint8_t canonical[32];
-  fe_to_bytes(canonical, y);
-  if (std::memcmp(canonical, y_bytes, 32) != 0) return false;
-
-  // x^2 = (y^2 - 1) / (d*y^2 + 1)
-  const Fe y2 = fe_sq(y);
-  const Fe u = fe_sub(y2, kFeOne);
-  const Fe v = fe_add(fe_mul(fe_d(), y2), kFeOne);
-
-  // x = u*v^3 * (u*v^7)^((p-5)/8)  (RFC 8032 §5.1.3)
-  const Fe v3 = fe_mul(fe_sq(v), v);
-  const Fe v7 = fe_mul(fe_sq(v3), v);
-  Fe x = fe_mul(fe_mul(u, v3), fe_pow22523(fe_mul(u, v7)));
-
-  const Fe vx2 = fe_mul(v, fe_sq(x));
-  if (!fe_equal(vx2, u)) {
-    if (!fe_equal(vx2, fe_neg(u))) return false;
-    x = fe_mul(x, fe_sqrtm1());
-  }
-
-  if (fe_is_zero(x) && sign) return false;  // -0 is not a valid encoding
-  if (fe_is_negative(x) != sign) x = fe_neg(x);
-
-  out.x = x;
-  out.y = y;
-  out.z = kFeOne;
-  out.t = fe_mul(x, y);
-  return true;
-}
-
-inline const Ge& ge_base() {
-  // Base point B: y = 4/5, x positive (RFC 8032).
-  static const Ge base = [] {
-    std::uint8_t y_bytes[32] = {0x58, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-                                0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-                                0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-                                0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66};
-    Ge b;
-    if (!ge_decompress(b, y_bytes)) throw std::logic_error("ed25519: bad base point");
-    return b;
-  }();
-  return base;
-}
-
-// ---------------------------------------------------------------------------
-// Scalar arithmetic mod L = 2^252 + 27742317777372353535851937790883648493.
-// Fixed-width 512-bit integers with shift-subtract reduction: slow but
-// obviously correct, and scalar ops are a tiny fraction of sign/verify time.
-// ---------------------------------------------------------------------------
-
-struct U512 {
-  u64 w[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+/// One variable-base term [scalar]point of a multi-scalar multiplication.
+/// `scalar` points at 32 little-endian bytes with scalar[31] <= 127.
+struct MsmTerm {
+  const std::uint8_t* scalar;
+  Ge point;
 };
 
-inline U512 u512_from_le(BytesView bytes) {
-  if (bytes.size() > 64) throw std::invalid_argument("u512_from_le: too long");
-  U512 x;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    x.w[i / 8] |= static_cast<u64>(bytes[i]) << (8 * (i % 8));
-  }
-  return x;
-}
+/// [b]B + sum [t.scalar]t.point in variable time (public inputs only).
+Ge ge_multiscalar_vartime(const std::uint8_t b[32], std::span<const MsmTerm> terms);
 
-inline int u512_compare(const U512& a, const U512& b) {
-  for (int i = 7; i >= 0; --i) {
-    if (a.w[i] != b.w[i]) return a.w[i] < b.w[i] ? -1 : 1;
-  }
-  return 0;
-}
-
-inline void u512_sub_inplace(U512& a, const U512& b) {
-  u64 borrow = 0;
-  for (int i = 0; i < 8; ++i) {
-    const u64 bi = b.w[i];
-    const u64 tmp = a.w[i] - bi;
-    const u64 borrow1 = a.w[i] < bi ? 1 : 0;
-    const u64 res = tmp - borrow;
-    const u64 borrow2 = tmp < borrow ? 1 : 0;
-    a.w[i] = res;
-    borrow = borrow1 | borrow2;
-  }
-}
-
-inline U512 u512_shift_left(const U512& a, int bits) {
-  U512 r;
-  const int word_shift = bits / 64;
-  const int bit_shift = bits % 64;
-  for (int i = 7; i >= 0; --i) {
-    u64 v = 0;
-    if (i - word_shift >= 0) v = a.w[i - word_shift] << bit_shift;
-    if (bit_shift != 0 && i - word_shift - 1 >= 0) {
-      v |= a.w[i - word_shift - 1] >> (64 - bit_shift);
-    }
-    r.w[i] = v;
-  }
-  return r;
-}
-
-inline U512 u512_add(const U512& a, const U512& b) {
-  U512 r;
-  u64 carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    const u64 sum1 = a.w[i] + b.w[i];
-    const u64 carry1 = sum1 < a.w[i] ? 1 : 0;
-    const u64 sum2 = sum1 + carry;
-    const u64 carry2 = sum2 < sum1 ? 1 : 0;
-    r.w[i] = sum2;
-    carry = carry1 | carry2;
-  }
-  return r;
-}
-
-/// 256x256 -> 512 bit multiply (low 4 words of each input).
-inline U512 u512_mul_256(const U512& a, const U512& b) {
-  U512 r;
-  for (int i = 0; i < 4; ++i) {
-    u64 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur = static_cast<u128>(a.w[i]) * b.w[j] + r.w[i + j] + carry;
-      r.w[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    r.w[i + 4] = carry;
-  }
-  return r;
-}
-
-inline const U512& order_l() {
-  static const U512 L = [] {
-    U512 l;
-    // L little-endian bytes (RFC 8032).
-    const std::uint8_t bytes[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
-                                    0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
-                                    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-                                    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
-    l = u512_from_le(BytesView(bytes, 32));
-    return l;
-  }();
-  return L;
-}
-
-/// x mod L by shift-subtract long division.
-inline U512 u512_mod_l(U512 x) {
-  const U512& L = order_l();
-  // L is 253 bits, so L << (512-253) still fits in 512 bits exactly.
-  for (int shift = 512 - 253; shift >= 0; --shift) {
-    const U512 shifted = u512_shift_left(L, shift);
-    if (u512_compare(x, shifted) >= 0) u512_sub_inplace(x, shifted);
-  }
-  return x;
-}
-
-inline void scalar_to_bytes(std::uint8_t out[32], const U512& x) {
-  for (int i = 0; i < 32; ++i) out[i] = static_cast<std::uint8_t>(x.w[i / 8] >> (8 * (i % 8)));
-}
+// ---------------------------------------------------------------------------
+// Scalars mod L = 2^252 + 27742317777372353535851937790883648493, as 32
+// little-endian bytes. Reduction is Barrett's with 64-bit words.
+// ---------------------------------------------------------------------------
 
 /// Reduces a 64-byte hash to a scalar mod L (RFC 8032 "interpret as
 /// little-endian integer, reduce").
-inline void reduce_hash_to_scalar(std::uint8_t out[32], BytesView hash64) {
-  const U512 x = u512_mod_l(u512_from_le(hash64));
-  scalar_to_bytes(out, x);
-}
+void reduce_hash_to_scalar(std::uint8_t out[32], BytesView hash64);
 
-/// out = (a * b) mod L, both inputs 32-byte little-endian scalars.
-inline void scalar_mul(std::uint8_t out[32], const std::uint8_t a[32],
-                       const std::uint8_t b[32]) {
-  const U512 aa = u512_from_le(BytesView(a, 32));
-  const U512 bb = u512_from_le(BytesView(b, 32));
-  const U512 reduced = u512_mod_l(u512_mul_256(aa, bb));
-  scalar_to_bytes(out, reduced);
-}
+/// out = (a * b) mod L for 32-byte scalars.
+void scalar_mul(std::uint8_t out[32], const std::uint8_t a[32], const std::uint8_t b[32]);
 
-/// out = (a + b) mod L, both inputs 32-byte little-endian scalars < L.
-inline void scalar_add(std::uint8_t out[32], const std::uint8_t a[32],
-                       const std::uint8_t b[32]) {
-  const U512 aa = u512_from_le(BytesView(a, 32));
-  const U512 bb = u512_from_le(BytesView(b, 32));
-  const U512 reduced = u512_mod_l(u512_add(aa, bb));
-  scalar_to_bytes(out, reduced);
-}
+/// out = (a + b) mod L for 32-byte scalars.
+void scalar_add(std::uint8_t out[32], const std::uint8_t a[32], const std::uint8_t b[32]);
 
-/// s = (r + k*a) mod L, all inputs 32-byte little-endian scalars.
-inline void scalar_muladd(std::uint8_t out[32], const std::uint8_t k[32],
-                          const std::uint8_t a[32], const std::uint8_t r[32]) {
-  const U512 kk = u512_from_le(BytesView(k, 32));
-  const U512 aa = u512_from_le(BytesView(a, 32));
-  const U512 rr = u512_from_le(BytesView(r, 32));
-  const U512 sum = u512_add(u512_mul_256(kk, aa), rr);
-  const U512 reduced = u512_mod_l(sum);
-  scalar_to_bytes(out, reduced);
-}
+/// out = (r + k*a) mod L for 32-byte scalars.
+void scalar_muladd(std::uint8_t out[32], const std::uint8_t k[32], const std::uint8_t a[32],
+                   const std::uint8_t r[32]);
 
 /// True iff the 32 little-endian bytes encode an integer < L.
-inline bool scalar_is_canonical(const std::uint8_t s[32]) {
-  const U512 x = u512_from_le(BytesView(s, 32));
-  return u512_compare(x, order_l()) < 0;
-}
-
-inline void clamp(std::uint8_t a[32]) {
-  a[0] &= 248;
-  a[31] &= 127;
-  a[31] |= 64;
-}
+bool scalar_is_canonical(const std::uint8_t s[32]);
 
 struct ExpandedKey {
-  std::uint8_t scalar[32];
+  std::uint8_t scalar[32];  // clamped
   std::uint8_t prefix[32];
 };
 
-inline ExpandedKey expand_seed(BytesView seed) {
-  if (seed.size() != kEd25519SeedSize) {
-    throw std::invalid_argument("ed25519: seed must be 32 bytes");
-  }
-  const Bytes h = sha512(seed);
-  ExpandedKey key;
-  std::memcpy(key.scalar, h.data(), 32);
-  std::memcpy(key.prefix, h.data() + 32, 32);
-  clamp(key.scalar);
-  return key;
-}
+/// SHA-512 of the 32-byte seed, split and clamped (RFC 8032 §5.1.5).
+ExpandedKey expand_seed(BytesView seed);
 
 }  // namespace securestore::crypto::ed25519_internal

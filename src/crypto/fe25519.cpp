@@ -1,7 +1,5 @@
 #include "crypto/fe25519.h"
 
-#include <cstring>
-
 namespace securestore::crypto::fe25519 {
 
 namespace {
@@ -11,19 +9,61 @@ using u128 = unsigned __int128;
 
 constexpr u64 kMask51 = (u64{1} << 51) - 1;
 
-}  // namespace
+// 4p limb by limb: large enough that a + 4p - b stays non-negative for any
+// subtrahend allowed by the limb bounds in fe25519.h.
+constexpr u64 k4P0 = 4 * ((u64{1} << 51) - 19);
+constexpr u64 k4Pi = 4 * ((u64{1} << 51) - 1);
 
-void carry(Fe& h) {
-  for (int round = 0; round < 2; ++round) {
-    u64 c = 0;
-    for (int i = 0; i < 5; ++i) {
-      h.v[i] += c;
-      c = h.v[i] >> 51;
-      h.v[i] &= kMask51;
-    }
-    h.v[0] += c * 19;
+/// One carry pass: limbs 1..4 end below 2^51, limb 0 below 2^51 plus 19
+/// times the top carry.
+void carry_once(Fe& h) {
+  for (int i = 0; i < 4; ++i) {
+    h.v[i + 1] += h.v[i] >> 51;
+    h.v[i] &= kMask51;
   }
+  h.v[0] += 19 * (h.v[4] >> 51);
+  h.v[4] &= kMask51;
 }
+
+/// Folds the five 128-bit column sums of a product into a tight element.
+Fe reduce_columns(u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
+  Fe h;
+  t1 += static_cast<u64>(t0 >> 51);
+  h.v[0] = static_cast<u64>(t0) & kMask51;
+  t2 += static_cast<u64>(t1 >> 51);
+  h.v[1] = static_cast<u64>(t1) & kMask51;
+  t3 += static_cast<u64>(t2 >> 51);
+  h.v[2] = static_cast<u64>(t2) & kMask51;
+  t4 += static_cast<u64>(t3 >> 51);
+  h.v[3] = static_cast<u64>(t3) & kMask51;
+  h.v[4] = static_cast<u64>(t4) & kMask51;
+  h.v[0] += static_cast<u64>(t4 >> 51) * 19;
+  h.v[1] += h.v[0] >> 51;
+  h.v[0] &= kMask51;
+  return h;
+}
+
+/// The unique representative in [0, p), limbs below 2^51.
+Fe canonical(const Fe& f) {
+  Fe h = f;
+  carry_once(h);
+  carry_once(h);
+  // h < 2^255 + 19 < 2p now, so h >= p iff h + 19 carries out of bit 255.
+  u64 q = (h.v[0] + 19) >> 51;
+  q = (h.v[1] + q) >> 51;
+  q = (h.v[2] + q) >> 51;
+  q = (h.v[3] + q) >> 51;
+  q = (h.v[4] + q) >> 51;
+  h.v[0] += 19 * q;
+  for (int i = 0; i < 4; ++i) {
+    h.v[i + 1] += h.v[i] >> 51;
+    h.v[i] &= kMask51;
+  }
+  h.v[4] &= kMask51;  // drops the 2^255 that q accounted for
+  return h;
+}
+
+}  // namespace
 
 Fe from_bytes(const std::uint8_t s[32]) {
   auto load64 = [&](int offset) {
@@ -41,21 +81,7 @@ Fe from_bytes(const std::uint8_t s[32]) {
 }
 
 void to_bytes(std::uint8_t s[32], const Fe& f) {
-  Fe h = f;
-  carry(h);
-  u64 q = (h.v[0] + 19) >> 51;
-  q = (h.v[1] + q) >> 51;
-  q = (h.v[2] + q) >> 51;
-  q = (h.v[3] + q) >> 51;
-  q = (h.v[4] + q) >> 51;
-  h.v[0] += 19 * q;
-  u64 c = 0;
-  for (int i = 0; i < 5; ++i) {
-    h.v[i] += c;
-    c = h.v[i] >> 51;
-    h.v[i] &= kMask51;
-  }
-  std::memset(s, 0, 32);
+  const Fe h = canonical(f);
   u64 packed[4];
   packed[0] = h.v[0] | (h.v[1] << 51);
   packed[1] = (h.v[1] >> 13) | (h.v[2] << 38);
@@ -66,20 +92,11 @@ void to_bytes(std::uint8_t s[32], const Fe& f) {
   }
 }
 
-Fe add(const Fe& a, const Fe& b) {
-  Fe h;
-  for (int i = 0; i < 5; ++i) h.v[i] = a.v[i] + b.v[i];
-  carry(h);
-  return h;
-}
-
 Fe sub(const Fe& a, const Fe& b) {
-  static constexpr u64 k8P0 = 8 * ((u64{1} << 51) - 19);
-  static constexpr u64 k8Pi = 8 * ((u64{1} << 51) - 1);
   Fe h;
-  h.v[0] = a.v[0] + k8P0 - b.v[0];
-  for (int i = 1; i < 5; ++i) h.v[i] = a.v[i] + k8Pi - b.v[i];
-  carry(h);
+  h.v[0] = a.v[0] + k4P0 - b.v[0];
+  for (int i = 1; i < 5; ++i) h.v[i] = a.v[i] + k4Pi - b.v[i];
+  carry_once(h);
   return h;
 }
 
@@ -90,35 +107,25 @@ Fe mul(const Fe& a, const Fe& b) {
   const u64 b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
   const u64 b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
 
-  u128 t0 = a0 * b0 + a1 * b4_19 + a2 * b3_19 + a3 * b2_19 + a4 * b1_19;
-  u128 t1 = a0 * b1 + a1 * b0 + a2 * b4_19 + a3 * b3_19 + a4 * b2_19;
-  u128 t2 = a0 * b2 + a1 * b1 + a2 * b0 + a3 * b4_19 + a4 * b3_19;
-  u128 t3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + a4 * b4_19;
-  u128 t4 = a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0;
-
-  Fe h;
-  u64 c;
-  c = static_cast<u64>(t0 >> 51);
-  h.v[0] = static_cast<u64>(t0) & kMask51;
-  t1 += c;
-  c = static_cast<u64>(t1 >> 51);
-  h.v[1] = static_cast<u64>(t1) & kMask51;
-  t2 += c;
-  c = static_cast<u64>(t2 >> 51);
-  h.v[2] = static_cast<u64>(t2) & kMask51;
-  t3 += c;
-  c = static_cast<u64>(t3 >> 51);
-  h.v[3] = static_cast<u64>(t3) & kMask51;
-  t4 += c;
-  c = static_cast<u64>(t4 >> 51);
-  h.v[4] = static_cast<u64>(t4) & kMask51;
-  h.v[0] += c * 19;
-  h.v[1] += h.v[0] >> 51;
-  h.v[0] &= kMask51;
-  return h;
+  return reduce_columns(a0 * b0 + a1 * b4_19 + a2 * b3_19 + a3 * b2_19 + a4 * b1_19,
+                        a0 * b1 + a1 * b0 + a2 * b4_19 + a3 * b3_19 + a4 * b2_19,
+                        a0 * b2 + a1 * b1 + a2 * b0 + a3 * b4_19 + a4 * b3_19,
+                        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + a4 * b4_19,
+                        a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0);
 }
 
-Fe sq(const Fe& a) { return mul(a, a); }
+Fe sq(const Fe& a) {
+  const u128 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
+  const u64 a0_2 = a.v[0] * 2, a1_2 = a.v[1] * 2;
+  const u64 a1_38 = a.v[1] * 38, a2_38 = a.v[2] * 38, a3_38 = a.v[3] * 38;
+  const u64 a3_19 = a.v[3] * 19, a4_19 = a.v[4] * 19;
+
+  return reduce_columns(a0 * a0 + a1_38 * a4 + a2_38 * a3,
+                        a0_2 * a1 + a2_38 * a4 + a3_19 * a3,
+                        a0_2 * a2 + a1 * a1 + a3_38 * a4,
+                        a0_2 * a3 + a1_2 * a2 + a4_19 * a4,
+                        a0_2 * a4 + a1_2 * a3 + a2 * a2);
+}
 
 Fe sqn(Fe a, int n) {
   for (int i = 0; i < n; ++i) a = sq(a);
@@ -134,25 +141,24 @@ Fe mul_small(const Fe& a, std::uint64_t small) {
     c = t >> 51;
   }
   h.v[0] += static_cast<u64>(c) * 19;
-  carry(h);
+  h.v[1] += h.v[0] >> 51;
+  h.v[0] &= kMask51;
   return h;
 }
 
 bool is_zero(const Fe& a) {
-  std::uint8_t s[32];
-  to_bytes(s, a);
-  std::uint8_t acc = 0;
-  for (std::uint8_t byte : s) acc |= byte;
-  return acc == 0;
+  const Fe h = canonical(a);
+  return (h.v[0] | h.v[1] | h.v[2] | h.v[3] | h.v[4]) == 0;
 }
 
-bool equal(const Fe& a, const Fe& b) { return is_zero(sub(a, b)); }
-
-bool is_negative(const Fe& a) {
-  std::uint8_t s[32];
-  to_bytes(s, a);
-  return (s[0] & 1) != 0;
+bool equal(const Fe& a, const Fe& b) {
+  const Fe x = canonical(a);
+  const Fe y = canonical(b);
+  return ((x.v[0] ^ y.v[0]) | (x.v[1] ^ y.v[1]) | (x.v[2] ^ y.v[2]) | (x.v[3] ^ y.v[3]) |
+          (x.v[4] ^ y.v[4])) == 0;
 }
+
+bool is_negative(const Fe& a) { return (canonical(a).v[0] & 1) != 0; }
 
 Fe invert(const Fe& a) {
   const Fe z2 = sq(a);

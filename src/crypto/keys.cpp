@@ -6,11 +6,10 @@
 
 namespace securestore::crypto {
 
-KeyPair KeyPair::generate(Rng& rng) {
-  KeyPair pair;
-  pair.seed = rng.bytes(kEd25519SeedSize);
-  pair.public_key = ed25519_public_key(pair.seed);
-  return pair;
+KeyPair KeyPair::generate(Rng& rng) { return from_seed(rng.bytes(kEd25519SeedSize)); }
+
+KeyPair KeyPair::from_seed(BytesView seed) {
+  return KeyPair{Bytes(seed.begin(), seed.end()), ed25519_public_key(seed)};
 }
 
 CryptoMeter& CryptoMeter::instance() {
@@ -20,9 +19,9 @@ CryptoMeter& CryptoMeter::instance() {
 
 void CryptoMeter::reset() { *this = CryptoMeter{}; }
 
-Bytes meter_sign(BytesView seed, BytesView message) {
+Bytes meter_sign(const KeyPair& key, BytesView message) {
   ++CryptoMeter::instance().signs;
-  return ed25519_sign(seed, message);
+  return ed25519_sign(key, message);
 }
 
 bool meter_verify(BytesView public_key, BytesView message, BytesView signature) {

@@ -21,6 +21,8 @@ struct KeyPair {
   Bytes public_key;
 
   static KeyPair generate(Rng& rng);
+  /// The pair for a known 32-byte seed.
+  static KeyPair from_seed(BytesView seed);
 };
 
 /// Counters for cryptographic operations. One instance per thread: the
@@ -39,7 +41,7 @@ class CryptoMeter {
 };
 
 /// Ed25519 sign, counted.
-Bytes meter_sign(BytesView seed, BytesView message);
+Bytes meter_sign(const KeyPair& key, BytesView message);
 
 /// Ed25519 verify, counted.
 bool meter_verify(BytesView public_key, BytesView message, BytesView signature);

@@ -1,5 +1,13 @@
 #include "crypto/sha2.h"
 
+#include <algorithm>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
+#include "crypto/sha2_internal.h"
+
 namespace securestore::crypto {
 
 namespace {
@@ -68,35 +76,112 @@ void store64_be(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
 }
 
+/// Portable SHA-256 compression (FIPS 180-4 §6.2.2).
+void sha256_blocks_portable(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load32_be(blocks + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK256[i] + w[i];
+      const std::uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g; g = f; f = e; e = d + t1;
+      d = c; c = b; b = a; a = t1 + t2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/// SHA-256 compression on the SHA-NI instructions. The state lives in two
+/// registers as (A,B,E,F) and (C,D,G,H); each sha256rnds2 runs two rounds,
+/// and sha256msg1/msg2 extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void sha256_blocks_sha_ni(std::uint32_t* state,
+                                                                const std::uint8_t* blocks,
+                                                                std::size_t count) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // msg[g % 4] holds message words 4g..4g+3 while rounds 4g..4g+3 run.
+    __m128i msg[4];
+    for (int i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)), byte_swap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      const __m128i current = msg[g % 4];
+      __m128i wk = _mm_add_epi32(
+          current, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK256 + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (g >= 3 && g <= 14) {
+        // Words 4(g+1).. = msg2(msg1(W[4g-12..]) + W[4g-3..4g], W[4g..]).
+        __m128i& next = msg[(g + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(current, msg[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, current);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+      if (g >= 1 && g <= 12) {
+        __m128i& previous = msg[(g + 3) % 4];
+        previous = _mm_sha256msg1_epu32(previous, current);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+#endif
+
+/// The compression function plain Sha256 uses: SHA-NI when the CPU has it
+/// (checked once, on first use), the portable code otherwise.
+auto default_blocks() {
+  static const auto blocks = [] {
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+      return &sha256_blocks_sha_ni;
+    }
+#endif
+    return &sha256_blocks_portable;
+  }();
+  return blocks;
+}
+
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+Sha256::Sha256() : Sha256(default_blocks()) {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load32_be(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK256[i] + w[i];
-    const std::uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
-}
+Sha256::Sha256(BlockFn process_blocks)
+    : process_blocks_(process_blocks),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 void Sha256::update(BytesView data) {
   total_bytes_ += data.size();
@@ -108,13 +193,14 @@ void Sha256::update(BytesView data) {
     buffered_ += take;
     offset = take;
     if (buffered_ == kBlockSize) {
-      process_block(buffer_.data());
+      process_blocks_(state_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
+  const std::size_t whole = (data.size() - offset) / kBlockSize;
+  if (whole > 0) {
+    process_blocks_(state_.data(), data.data() + offset, whole);
+    offset += whole * kBlockSize;
   }
   if (offset < data.size()) {
     std::copy(data.begin() + static_cast<std::ptrdiff_t>(offset), data.end(), buffer_.begin());
@@ -123,18 +209,28 @@ void Sha256::update(BytesView data) {
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finish() {
-  const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(BytesView(&zero, 1));
-  std::uint8_t length_bytes[8];
-  store64_be(length_bytes, bit_length);
-  update(BytesView(length_bytes, 8));
+  // Padding: 0x80, zeros up to 56 mod 64, then the bit length (big-endian).
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_), buffer_.end(), 0);
+    process_blocks_(state_.data(), buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_), buffer_.begin() + 56, 0);
+  store64_be(buffer_.data() + 56, total_bytes_ * 8);
+  process_blocks_(state_.data(), buffer_.data(), 1);
   std::array<std::uint8_t, kDigestSize> digest;
   for (int i = 0; i < 8; ++i) store32_be(digest.data() + 4 * i, state_[i]);
   return digest;
 }
+
+namespace sha2_internal {
+
+Sha256 portable_sha256() { return Sha256(&sha256_blocks_portable); }
+
+bool sha256_uses_sha_ni() { return default_blocks() != &sha256_blocks_portable; }
+
+}  // namespace sha2_internal
 
 Sha512::Sha512()
     : state_{0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL, 0x3c6ef372fe94f82bULL,
@@ -195,14 +291,17 @@ std::array<std::uint8_t, Sha512::kDigestSize> Sha512::finish() {
   // Message length in bits as a 128-bit big-endian quantity.
   const std::uint64_t bits_high = (total_high_ << 3) | (total_low_ >> 61);
   const std::uint64_t bits_low = total_low_ << 3;
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffered_ != 112) update(BytesView(&zero, 1));
-  std::uint8_t length_bytes[16];
-  store64_be(length_bytes, bits_high);
-  store64_be(length_bytes + 8, bits_low);
-  update(BytesView(length_bytes, 16));
+  // Padding: 0x80, zeros up to 112 mod 128, then the length.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 112) {
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_), buffer_.end(), 0);
+    process_block(buffer_.data());
+    buffered_ = 0;
+  }
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_), buffer_.begin() + 112, 0);
+  store64_be(buffer_.data() + 112, bits_high);
+  store64_be(buffer_.data() + 120, bits_low);
+  process_block(buffer_.data());
   std::array<std::uint8_t, kDigestSize> digest;
   for (int i = 0; i < 8; ++i) store64_be(digest.data() + 8 * i, state_[i]);
   return digest;

@@ -4,6 +4,11 @@
 // digests inside multi-writer timestamps, signed digests of contexts and
 // write records. SHA-512 exists because Ed25519 (RFC 8032) requires it.
 // Both are validated against NIST/RFC test vectors in tests/crypto_test.cpp.
+//
+// SHA-256 compresses with the x86 SHA-NI instructions when the CPU has them
+// (checked once at run time) and with portable C++ otherwise; both give the
+// same digests (crypto_test checks one against the other through
+// crypto/sha2_internal.h).
 #pragma once
 
 #include <array>
@@ -12,6 +17,11 @@
 #include "util/bytes.h"
 
 namespace securestore::crypto {
+
+class Sha256;
+namespace sha2_internal {
+Sha256 portable_sha256();
+}
 
 class Sha256 {
  public:
@@ -24,8 +34,13 @@ class Sha256 {
   std::array<std::uint8_t, kDigestSize> finish();
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Compresses `count` consecutive 64-byte blocks into `state`.
+  using BlockFn = void (*)(std::uint32_t* state, const std::uint8_t* blocks, std::size_t count);
 
+  explicit Sha256(BlockFn process_blocks);
+  friend Sha256 sha2_internal::portable_sha256();
+
+  BlockFn process_blocks_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffered_ = 0;

@@ -46,7 +46,7 @@ core::WriteRecord MaliciousClient::send_spurious_context_write(
                                               crypto::meter_digest(to_bytes("phantom"))});
   record.writer_context = std::move(poisoned);
 
-  record.sign(keys_.seed);
+  record.sign(keys_);
   blast(record, fanout);
   return record;
 }
@@ -58,13 +58,13 @@ std::pair<core::WriteRecord, core::WriteRecord> MaliciousClient::send_equivocati
   first.value_digest = crypto::meter_digest(first.value);
   first.ts = core::Timestamp{time, client_id_, first.value_digest};
   first.writer_context = core::Context(policy_.group);
-  first.sign(keys_.seed);
+  first.sign(keys_);
 
   core::WriteRecord second = base_record(item, value_b);
   second.value_digest = crypto::meter_digest(second.value);
   second.ts = core::Timestamp{time, client_id_, second.value_digest};  // same time!
   second.writer_context = core::Context(policy_.group);
-  second.sign(keys_.seed);
+  second.sign(keys_);
 
   blast(first, fanout);
   blast(second, fanout);
@@ -80,7 +80,7 @@ core::WriteRecord MaliciousClient::send_forged_writer_write(ItemId item, BytesVi
   record.ts = core::Timestamp{1, victim, record.value_digest};
   record.writer_context = core::Context(policy_.group);
   // Signed with OUR key: the uid/key mismatch is what servers must catch.
-  record.signature = crypto::meter_sign(keys_.seed, record.signed_payload());
+  record.signature = crypto::meter_sign(keys_, record.signed_payload());
   blast(record, fanout);
   return record;
 }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "crypto/ed25519.h"
+#include "crypto/keys.h"
 #include "crypto/sha2.h"
 
 namespace securestore::shard {
@@ -81,9 +82,9 @@ RingState RingState::deserialize(BytesView data) {
   return ring;
 }
 
-SignedRingState SignedRingState::sign(RingState ring, BytesView authority_seed) {
+SignedRingState SignedRingState::sign(RingState ring, const crypto::KeyPair& authority) {
   SignedRingState signed_ring;
-  signed_ring.signature = crypto::ed25519_sign(authority_seed, ring_statement(ring));
+  signed_ring.signature = crypto::ed25519_sign(authority, ring_statement(ring));
   signed_ring.ring = std::move(ring);
   return signed_ring;
 }

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/ids.h"
 #include "util/serial.h"
@@ -64,7 +65,7 @@ struct SignedRingState {
   RingState ring;
   Bytes signature;  // Ed25519 over the domain-separated serialized ring
 
-  static SignedRingState sign(RingState ring, BytesView authority_seed);
+  static SignedRingState sign(RingState ring, const crypto::KeyPair& authority);
   bool verify(BytesView authority_public_key) const;
 
   Bytes serialize() const;

@@ -1,6 +1,7 @@
 #include "storage/audit_log.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 
 #include "crypto/sha2.h"
@@ -34,16 +35,74 @@ Bytes AuditLog::genesis() { return crypto::sha256(to_bytes("securestore.audit.ge
 
 AuditLog::AuditLog() : head_(genesis()) {}
 
-Bytes AuditLog::link(BytesView previous, const AuditEntry& entry) {
-  Writer w;
+namespace {
+
+/// Feeds a hash the exact bytes a Writer would produce for the same calls,
+/// staged in a fixed buffer instead of a growing heap one: a whole audit
+/// link normally fits, so it reaches the hash as one update.
+class HashWriter {
+ public:
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
+  void raw(BytesView data) {
+    if (data.size() > kStage - staged_) {
+      flush();
+      if (data.size() > kStage) {
+        hash_.update(data);
+        return;
+      }
+    }
+    std::copy(data.begin(), data.end(), stage_.begin() + static_cast<std::ptrdiff_t>(staged_));
+    staged_ += data.size();
+  }
+  void bytes(BytesView data) {
+    u32(static_cast<std::uint32_t>(data.size()));
+    raw(data);
+  }
+  std::array<std::uint8_t, crypto::Sha256::kDigestSize> finish() {
+    flush();
+    return hash_.finish();
+  }
+
+ private:
+  static constexpr std::size_t kStage = 192;
+
+  void le(std::uint64_t v, int width) {
+    std::uint8_t buf[8];
+    for (int i = 0; i < width; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    raw(BytesView(buf, static_cast<std::size_t>(width)));
+  }
+  void flush() {
+    hash_.update(BytesView(stage_.data(), staged_));
+    staged_ = 0;
+  }
+
+  crypto::Sha256 hash_;
+  std::array<std::uint8_t, kStage> stage_;
+  std::size_t staged_ = 0;
+};
+
+/// Smallest encoded AuditEntry (empty digests): bounds how many entries a
+/// blob of a given size can hold, so a hostile count cannot force a huge
+/// reservation.
+constexpr std::size_t kMinEncodedEntry = 8 + 8 + 8 + (8 + 4 + 4) + 4 + 4 + 4;
+
+}  // namespace
+
+AuditLog::Digest AuditLog::link(BytesView previous, const AuditEntry& entry) {
+  // Same bytes as Writer{raw(previous), u64 sequence, u64 accepted_at,
+  // u64 item, Timestamp::encode, u32 writer, bytes record_digest}.
+  HashWriter w;
   w.raw(previous);
   w.u64(entry.sequence);
   w.u64(entry.accepted_at);
   w.u64(entry.item.value);
-  entry.ts.encode(w);
+  w.u64(entry.ts.time);
+  w.u32(entry.ts.writer.value);
+  w.bytes(entry.ts.digest);
   w.u32(entry.writer.value);
   w.bytes(entry.record_digest);
-  return crypto::sha256(w.data());
+  return w.finish();
 }
 
 const Bytes& AuditLog::append(const core::WriteRecord& record, SimTime accepted_at) {
@@ -54,7 +113,8 @@ const Bytes& AuditLog::append(const core::WriteRecord& record, SimTime accepted_
   entry.ts = record.ts;
   entry.writer = record.writer;
   entry.record_digest = crypto::sha256(record.signed_payload());
-  entry.chain_hash = link(head_, entry);
+  const Digest chain_hash = link(head_, entry);
+  entry.chain_hash.assign(chain_hash.begin(), chain_hash.end());
   head_ = entry.chain_hash;
   entries_.push_back(std::move(entry));
   return head_;
@@ -71,24 +131,24 @@ AuditLog AuditLog::deserialize(BytesView data) {
   Reader r(data);
   AuditLog log;
   const std::uint32_t count = r.u32();
+  log.entries_.reserve(std::min<std::size_t>(count, r.remaining() / kMinEncodedEntry));
   for (std::uint32_t i = 0; i < count; ++i) {
-    log.entries_.push_back(AuditEntry::decode(r));
+    AuditEntry entry = AuditEntry::decode(r);
+    // Once one link fails the verdict is settled; the rest only decodes.
+    if (log.intact_) {
+      const Digest expected = link(log.head_, entry);
+      log.intact_ = entry.sequence == i &&
+                    std::equal(expected.begin(), expected.end(), entry.chain_hash.begin(),
+                               entry.chain_hash.end());
+    }
+    log.head_ = entry.chain_hash;
+    log.entries_.push_back(std::move(entry));
   }
   r.expect_end();
-  if (!log.entries_.empty()) log.head_ = log.entries_.back().chain_hash;
   return log;
 }
 
-bool AuditLog::verify() const {
-  Bytes previous = genesis();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const AuditEntry& entry = entries_[i];
-    if (entry.sequence != i) return false;
-    if (link(previous, entry) != entry.chain_hash) return false;
-    previous = entry.chain_hash;
-  }
-  return previous == head_;
-}
+bool AuditLog::verify() const { return intact_; }
 
 bool AuditLog::contains(BytesView record_digest) const {
   return std::any_of(entries_.begin(), entries_.end(), [&](const AuditEntry& entry) {

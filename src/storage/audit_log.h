@@ -15,6 +15,7 @@
 // propagate all updates they have seen).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -49,20 +50,29 @@ class AuditLog {
   std::size_t size() const { return entries_.size(); }
 
   Bytes serialize() const;
+  /// Decodes a log and checks every link of its chain in the same pass.
+  /// Throws DecodeError on malformed bytes; a well-formed log whose chain
+  /// is broken still decodes (an auditor must be able to report it), with
+  /// verify() false.
   static AuditLog deserialize(BytesView data);
 
-  /// Recomputes the whole chain; false if any link (or the head) is broken.
+  /// False iff some link of the chain is broken. Links are checked as
+  /// entries enter the log: append() computes each one, deserialize()
+  /// recomputes and compares every one, so this is O(1).
   bool verify() const;
 
   /// True iff a write with this record digest appears in the log.
   bool contains(BytesView record_digest) const;
 
  private:
+  using Digest = std::array<std::uint8_t, 32>;
+
   static Bytes genesis();
-  static Bytes link(BytesView previous, const AuditEntry& entry);
+  static Digest link(BytesView previous, const AuditEntry& entry);
 
   std::vector<AuditEntry> entries_;
   Bytes head_;
+  bool intact_ = true;
 };
 
 /// Cross-server audit findings.

@@ -221,7 +221,7 @@ std::unique_ptr<core::SecureStoreClient> Cluster::make_client(
 
 core::AuthToken Cluster::issue_token(ClientId client, GroupId group,
                                      core::Rights rights) const {
-  const core::Authorizer authorizer(authority_.seed);
+  const core::Authorizer authorizer(authority_);
   return authorizer.issue(client, group, rights);
 }
 

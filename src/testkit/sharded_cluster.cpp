@@ -123,7 +123,7 @@ shard::SignedRingState ShardedCluster::next_ring() const {
     }
     ring.shards.push_back(std::move(members));
   }
-  return shard::SignedRingState::sign(std::move(ring), ring_authority_.seed);
+  return shard::SignedRingState::sign(std::move(ring), ring_authority_);
 }
 
 std::uint64_t ShardedCluster::copy_moved_data(const shard::SignedRingState& target) {

@@ -181,7 +181,7 @@ TEST(ClientProtocol, ConcurrentSameTimeWritersOrderedByUid) {
     record.value_digest = crypto::meter_digest(record.value);
     record.ts = core::Timestamp{1000, writer, record.value_digest};
     record.writer_context = core::Context(kGroup);
-    record.sign(cluster.client_keys(writer).seed);
+    record.sign(cluster.client_keys(writer));
 
     core::WriteReq req;
     req.record = record;

@@ -126,7 +126,7 @@ WriteRecord sample_record(const crypto::KeyPair& keys) {
   Context context(kGroup);
   context.set(kX, record.ts);
   record.writer_context = context;
-  record.sign(keys.seed);
+  record.sign(keys);
   return record;
 }
 
@@ -192,7 +192,7 @@ TEST(WriteRecord, MismatchedTsDigestRejectedAtSignTime) {
   record.item = kX;
   record.value = to_bytes("v");
   record.ts = Timestamp{1, ClientId{1}, to_bytes("not the digest")};
-  EXPECT_THROW(record.sign(keys.seed), std::invalid_argument);
+  EXPECT_THROW(record.sign(keys), std::invalid_argument);
 }
 
 TEST(StoredContext, SignVerifyRoundtrip) {
@@ -201,7 +201,7 @@ TEST(StoredContext, SignVerifyRoundtrip) {
   Context context(kGroup);
   context.set(kX, Timestamp{3, {}, {}});
   StoredContext stored{ClientId{2}, context, {}};
-  stored.sign(keys.seed);
+  stored.sign(keys);
   EXPECT_TRUE(stored.verify(keys.public_key));
 
   stored.context.set(kX, Timestamp{4, {}, {}});
@@ -290,7 +290,7 @@ TEST(Messages, TrailingGarbageRejected) {
 TEST(Auth, TokenLifecycle) {
   Rng rng(9);
   const crypto::KeyPair authority = crypto::KeyPair::generate(rng);
-  const Authorizer authorizer(authority.seed);
+  const Authorizer authorizer(authority);
   const TokenVerifier verifier(authority.public_key);
 
   const AuthToken token = authorizer.issue(ClientId{1}, kGroup, Rights::kReadWrite);
@@ -311,7 +311,7 @@ TEST(Auth, TokenLifecycle) {
 TEST(Auth, ExpiryEnforced) {
   Rng rng(10);
   const crypto::KeyPair authority = crypto::KeyPair::generate(rng);
-  const Authorizer authorizer(authority.seed);
+  const Authorizer authorizer(authority);
   const TokenVerifier verifier(authority.public_key);
 
   const AuthToken token = authorizer.issue(ClientId{1}, kGroup, Rights::kRead,
@@ -326,7 +326,7 @@ TEST(Auth, ForgedTokenRejected) {
   const crypto::KeyPair impostor = crypto::KeyPair::generate(rng);
   const TokenVerifier verifier(authority.public_key);
 
-  const Authorizer fake(impostor.seed);
+  const Authorizer fake(impostor);
   const AuthToken token = fake.issue(ClientId{1}, kGroup, Rights::kReadWrite);
   EXPECT_FALSE(verifier.check(token, ClientId{1}, kGroup, Rights::kRead, 0));
 }
@@ -335,7 +335,7 @@ TEST(Auth, TokenEncodingRoundtrip) {
   Rng rng(12);
   const crypto::KeyPair authority = crypto::KeyPair::generate(rng);
   const AuthToken token =
-      Authorizer(authority.seed).issue(ClientId{7}, kGroup, Rights::kWrite, seconds(99));
+      Authorizer(authority).issue(ClientId{7}, kGroup, Rights::kWrite, seconds(99));
   Writer w;
   token.encode(w);
   Reader r(w.data());

@@ -6,6 +6,7 @@
 #include "crypto/chacha20.h"
 #include "crypto/ed25519.h"
 #include "crypto/ed25519_batch.h"
+#include "crypto/ed25519_internal.h"
 #include "crypto/fe25519.h"
 #include "crypto/gf256.h"
 #include "crypto/hmac.h"
@@ -13,6 +14,7 @@
 #include "crypto/keys.h"
 #include "crypto/multisig.h"
 #include "crypto/sha2.h"
+#include "crypto/sha2_internal.h"
 #include "crypto/x25519.h"
 #include "crypto/shamir.h"
 #include "util/bytes.h"
@@ -65,6 +67,30 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     }
     const auto digest = h.finish();
     EXPECT_EQ(Bytes(digest.begin(), digest.end()), sha256(data)) << "size=" << total;
+  }
+}
+
+TEST(Sha256, HardwareAndPortablePathsAgree) {
+  // Plain Sha256 runs on SHA-NI where the CPU has it; the portable path is
+  // reachable only through the internal hook.
+  RecordProperty("sha_ni", sha2_internal::sha256_uses_sha_ni() ? "yes" : "no");
+  Rng rng(8);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes data = rng.bytes(rng.next_below(1025));
+    Sha256 fast;
+    Sha256 portable = sha2_internal::portable_sha256();
+    std::size_t offset = 0;
+    while (offset < data.size()) {
+      const std::size_t take = std::min<std::size_t>(rng.next_below(200), data.size() - offset);
+      const BytesView piece(data.data() + offset, take);
+      fast.update(piece);
+      portable.update(piece);
+      offset += take;
+    }
+    const auto fast_digest = fast.finish();
+    const auto portable_digest = portable.finish();
+    EXPECT_EQ(fast_digest, portable_digest) << "length " << data.size();
+    EXPECT_EQ(Bytes(portable_digest.begin(), portable_digest.end()), sha256(data));
   }
 }
 
@@ -236,7 +262,8 @@ TEST_P(Ed25519Rfc, PublicKeyDerivation) {
 
 TEST_P(Ed25519Rfc, Signature) {
   const auto& v = GetParam();
-  EXPECT_EQ(to_hex(ed25519_sign(from_hex(v.seed), from_hex(v.message))), v.signature);
+  EXPECT_EQ(to_hex(ed25519_sign(KeyPair::from_seed(from_hex(v.seed)), from_hex(v.message))),
+            v.signature);
 }
 
 TEST_P(Ed25519Rfc, Verifies) {
@@ -252,7 +279,7 @@ TEST(Ed25519, SignVerifyRoundtripRandomKeys) {
   for (int i = 0; i < 8; ++i) {
     const KeyPair pair = KeyPair::generate(rng);
     const Bytes message = rng.bytes(rng.next_below(200));
-    const Bytes signature = ed25519_sign(pair.seed, message);
+    const Bytes signature = ed25519_sign(pair, message);
     EXPECT_TRUE(ed25519_verify(pair.public_key, message, signature));
   }
 }
@@ -261,7 +288,7 @@ TEST(Ed25519, FlippedMessageBitRejected) {
   Rng rng(43);
   const KeyPair pair = KeyPair::generate(rng);
   Bytes message = to_bytes("the medical record of resident 7");
-  const Bytes signature = ed25519_sign(pair.seed, message);
+  const Bytes signature = ed25519_sign(pair, message);
   message[3] ^= 0x20;
   EXPECT_FALSE(ed25519_verify(pair.public_key, message, signature));
 }
@@ -270,7 +297,7 @@ TEST(Ed25519, FlippedSignatureBitRejected) {
   Rng rng(44);
   const KeyPair pair = KeyPair::generate(rng);
   const Bytes message = to_bytes("hello");
-  Bytes signature = ed25519_sign(pair.seed, message);
+  Bytes signature = ed25519_sign(pair, message);
   for (std::size_t position : {0u, 31u, 32u, 63u}) {
     Bytes tampered = signature;
     tampered[position] ^= 0x01;
@@ -284,7 +311,7 @@ TEST(Ed25519, WrongKeyRejected) {
   const KeyPair alice = KeyPair::generate(rng);
   const KeyPair bob = KeyPair::generate(rng);
   const Bytes message = to_bytes("signed by alice");
-  const Bytes signature = ed25519_sign(alice.seed, message);
+  const Bytes signature = ed25519_sign(alice, message);
   EXPECT_FALSE(ed25519_verify(bob.public_key, message, signature));
 }
 
@@ -292,7 +319,7 @@ TEST(Ed25519, MalformedInputsRejected) {
   Rng rng(46);
   const KeyPair pair = KeyPair::generate(rng);
   const Bytes message = to_bytes("m");
-  const Bytes signature = ed25519_sign(pair.seed, message);
+  const Bytes signature = ed25519_sign(pair, message);
   EXPECT_FALSE(ed25519_verify(pair.public_key, message, Bytes(63, 0)));
   EXPECT_FALSE(ed25519_verify(Bytes(31, 0), message, signature));
   // All-0xff "public key" is not a canonical curve point.
@@ -326,7 +353,7 @@ SignedBatch make_signed_batch(Rng& rng, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     batch.pairs.push_back(KeyPair::generate(rng));
     batch.messages.push_back(rng.bytes(1 + rng.next_below(120)));
-    batch.signatures.push_back(ed25519_sign(batch.pairs.back().seed, batch.messages.back()));
+    batch.signatures.push_back(ed25519_sign(batch.pairs.back(), batch.messages.back()));
   }
   return batch;
 }
@@ -431,6 +458,360 @@ TEST(Ed25519Batch, MetersOneVerifyPerItem) {
   const std::uint64_t before = meter.verifies;
   ed25519_batch_verify(batch.items());
   EXPECT_EQ(meter.verifies - before, 9u);
+}
+
+// ---------------------------------------------------------------------------
+// Ed25519 internals: the fixed-base and w-NAF scalar multiplications, the
+// scalar arithmetic mod L, and batch/single agreement on hostile encodings
+// ---------------------------------------------------------------------------
+
+namespace ed = ed25519_internal;
+
+using Scalar = std::array<std::uint8_t, 32>;
+
+// L = 2^252 + 27742317777372353535851937790883648493, little-endian.
+constexpr Scalar kOrderL = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+                            0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
+
+/// Plain MSB-first double-and-add over all 256 bits: the reference the
+/// fast routines are checked against.
+ed::Ge reference_mul(const ed::Ge& p, const std::uint8_t scalar[32]) {
+  ed::Ge r = ed::ge_identity();
+  for (int i = 255; i >= 0; --i) {
+    r = ed::ge_double(r);
+    if ((scalar[i / 8] >> (i % 8)) & 1) r = ed::ge_add(r, p);
+  }
+  return r;
+}
+
+Bytes encode(const ed::Ge& p) {
+  Bytes out(32);
+  ed::ge_compress(out.data(), p);
+  return out;
+}
+
+Scalar random_scalar(Rng& rng) {
+  const Bytes wide = rng.bytes(64);
+  Scalar s;
+  ed::reduce_hash_to_scalar(s.data(), wide);
+  return s;
+}
+
+TEST(Ed25519Internal, FixedBaseMatchesDoubleAndAdd) {
+  Scalar zero{};
+  Scalar one{};
+  one[0] = 1;
+  Scalar l_minus_1 = kOrderL;
+  l_minus_1[0] -= 1;
+  Scalar clamped_max;
+  clamped_max.fill(0xff);
+  clamped_max[0] &= 248;
+  clamped_max[31] &= 127;
+  clamped_max[31] |= 64;
+  std::vector<Scalar> scalars = {zero, one, l_minus_1, clamped_max, kOrderL};
+  Rng rng(700);
+  for (int i = 0; i < 24; ++i) scalars.push_back(random_scalar(rng));
+  for (int i = 0; i < 8; ++i) {
+    const Bytes raw = rng.bytes(32);
+    Scalar s;
+    std::copy(raw.begin(), raw.end(), s.begin());
+    s[31] &= 0x7f;  // the documented input bound: any value below 2^255
+    scalars.push_back(s);
+  }
+  for (const Scalar& s : scalars) {
+    EXPECT_EQ(encode(ed::ge_scalarmult_base(s.data())),
+              encode(reference_mul(ed::ge_base(), s.data())))
+        << "scalar " << to_hex(BytesView(s.data(), s.size()));
+  }
+  EXPECT_TRUE(ed::ge_is_identity(ed::ge_scalarmult_base(zero.data())));
+  EXPECT_TRUE(ed::ge_is_identity(ed::ge_scalarmult_base(kOrderL.data())));
+  EXPECT_EQ(encode(ed::ge_scalarmult_base(l_minus_1.data())), encode(ed::ge_neg(ed::ge_base())));
+}
+
+/// A 320-bit little-endian integer, for test-local scalar arithmetic.
+using Limbs = std::array<std::uint64_t, 5>;
+
+/// acc += magnitude * 2^shift.
+void add_shifted(Limbs& acc, std::uint64_t magnitude, std::size_t shift) {
+  unsigned __int128 carry = static_cast<unsigned __int128>(magnitude) << (shift % 64);
+  for (std::size_t i = shift / 64; i < acc.size() && carry != 0; ++i) {
+    carry += acc[i];
+    acc[i] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+}
+
+Limbs to_limbs(const Scalar& s) {
+  Limbs out{};
+  for (std::size_t byte = 0; byte < s.size(); ++byte) add_shifted(out, s[byte], 8 * byte);
+  return out;
+}
+
+TEST(Ed25519Internal, WnafDigitsAreOddBoundedSparseAndRebuildTheScalar) {
+  Rng rng(701);
+  std::vector<Scalar> scalars = {Scalar{}, kOrderL};
+  for (int i = 0; i < 40; ++i) scalars.push_back(random_scalar(rng));
+  Scalar top{};
+  top.fill(0xff);
+  top[31] = 0x7f;  // 2^255 - 1, the largest admissible scalar
+  scalars.push_back(top);
+  for (const Scalar& s : scalars) {
+    for (const int w : {2, 5, 8}) {
+      std::int8_t naf[256];
+      ed::wnaf(naf, s.data(), w);
+      Limbs positive{};
+      Limbs negative{};
+      int last_nonzero = -w;
+      for (int i = 0; i < 256; ++i) {
+        const int digit = naf[i];
+        if (digit == 0) continue;
+        EXPECT_EQ(digit & 1, 1) << "even digit at " << i << " w=" << w;
+        EXPECT_LT(std::abs(digit), 1 << (w - 1)) << "digit out of bounds at " << i;
+        EXPECT_GE(i - last_nonzero, w) << "two nonzero digits within a window at " << i;
+        last_nonzero = i;
+        add_shifted(digit > 0 ? positive : negative, static_cast<std::uint64_t>(std::abs(digit)),
+                    static_cast<std::size_t>(i));
+      }
+      // positive - negative == s, i.e. positive == s + negative.
+      Limbs expected = to_limbs(s);
+      for (std::size_t i = 0; i < negative.size(); ++i) add_shifted(expected, negative[i], 64 * i);
+      EXPECT_EQ(positive, expected) << "w=" << w << " scalar "
+                                    << to_hex(BytesView(s.data(), s.size()));
+    }
+  }
+}
+
+TEST(Ed25519Internal, MultiScalarMatchesDoubleAndAdd) {
+  Rng rng(702);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    const Scalar b = random_scalar(rng);
+    std::vector<Scalar> scalars;
+    std::vector<ed::MsmTerm> terms;
+    ed::Ge expected = reference_mul(ed::ge_base(), b.data());
+    scalars.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scalars.push_back(random_scalar(rng));
+      const Scalar point_scalar = random_scalar(rng);
+      const ed::Ge point = ed::ge_scalarmult_base(point_scalar.data());
+      terms.push_back(ed::MsmTerm{scalars.back().data(), point});
+      expected = ed::ge_add(expected, reference_mul(point, scalars.back().data()));
+    }
+    EXPECT_EQ(encode(ed::ge_multiscalar_vartime(b.data(), terms)), encode(expected)) << "n=" << n;
+  }
+}
+
+/// Reference x mod L by binary long division over a little-endian byte string.
+Scalar reference_mod_l(const Bytes& x) {
+  // Horner's rule, one bit at a time: r = 2r + bit, r < L throughout.
+  const Limbs l = to_limbs(kOrderL);
+  Limbs r{};
+  for (std::size_t bit = x.size() * 8; bit-- > 0;) {
+    for (std::size_t i = r.size() - 1; i > 0; --i) r[i] = (r[i] << 1) | (r[i - 1] >> 63);
+    r[0] = (r[0] << 1) | ((x[bit / 8] >> (bit % 8)) & 1);
+    // std::array compares lexicographically from index 0, the low limb, so
+    // compare reversed copies.
+    if (!std::lexicographical_compare(r.rbegin(), r.rend(), l.rbegin(), l.rend())) {
+      std::uint64_t borrow = 0;
+      for (std::size_t i = 0; i < r.size(); ++i) {
+        const unsigned __int128 d = static_cast<unsigned __int128>(r[i]) - l[i] - borrow;
+        r[i] = static_cast<std::uint64_t>(d);
+        borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+      }
+    }
+  }
+  Scalar out;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(r[i / 8] >> (8 * (i % 8)));
+  }
+  return out;
+}
+
+TEST(Ed25519Internal, ScalarReductionMatchesLongDivision) {
+  Rng rng(703);
+  std::vector<Bytes> inputs = {Bytes(64, 0x00), Bytes(64, 0xff)};
+  Bytes l_wide(64, 0);
+  std::copy(kOrderL.begin(), kOrderL.end(), l_wide.begin());
+  inputs.push_back(l_wide);
+  for (int i = 0; i < 64; ++i) inputs.push_back(rng.bytes(64));
+  for (const Bytes& x : inputs) {
+    Scalar got;
+    ed::reduce_hash_to_scalar(got.data(), x);
+    EXPECT_EQ(got, reference_mod_l(x)) << to_hex(x);
+  }
+  for (int i = 0; i < 32; ++i) {
+    const Scalar a = random_scalar(rng);
+    const Scalar b = random_scalar(rng);
+    const Scalar c = random_scalar(rng);
+    Scalar product, sum, muladd;
+    ed::scalar_mul(product.data(), a.data(), b.data());
+    ed::scalar_add(sum.data(), a.data(), b.data());
+    ed::scalar_muladd(muladd.data(), a.data(), b.data(), c.data());
+    Scalar expected_sum;
+    ed::scalar_add(expected_sum.data(), product.data(), c.data());
+    EXPECT_EQ(muladd, expected_sum);
+    // a + b < 2L, so the sum reduces by at most one L.
+    Bytes wide_sum(64, 0);
+    unsigned carry = 0;
+    for (std::size_t j = 0; j < 32; ++j) {
+      carry += static_cast<unsigned>(a[j]) + b[j];
+      wide_sum[j] = static_cast<std::uint8_t>(carry);
+      carry >>= 8;
+    }
+    wide_sum[32] = static_cast<std::uint8_t>(carry);
+    EXPECT_EQ(sum, reference_mod_l(wide_sum));
+  }
+  Scalar l_minus_1 = kOrderL;
+  l_minus_1[0] -= 1;
+  EXPECT_TRUE(ed::scalar_is_canonical(l_minus_1.data()));
+  EXPECT_FALSE(ed::scalar_is_canonical(kOrderL.data()));
+}
+
+/// The 8 points of the curve's cofactor subgroup, as encodings: the
+/// multiples of [L]P for a point P whose torsion component has order 8.
+std::vector<Bytes> small_order_encodings() {
+  for (int y0 = 2;; ++y0) {
+    std::uint8_t y[32] = {};
+    y[0] = static_cast<std::uint8_t>(y0);
+    ed::Ge p;
+    if (!ed::ge_decompress(p, y)) continue;
+    const ed::Ge torsion = reference_mul(p, kOrderL.data());
+    if (ed::ge_is_identity(ed::ge_double(ed::ge_double(torsion)))) continue;  // order < 8
+    std::vector<Bytes> out;
+    ed::Ge multiple = ed::ge_identity();
+    for (int k = 0; k < 8; ++k) {
+      out.push_back(encode(multiple));
+      multiple = ed::ge_add(multiple, torsion);
+    }
+    return out;
+  }
+}
+
+Scalar challenge(BytesView r, BytesView a, BytesView message) {
+  Sha512 h;
+  h.update(r);
+  h.update(a);
+  h.update(message);
+  const auto digest = h.finish();
+  Scalar k;
+  ed::reduce_hash_to_scalar(k.data(), BytesView(digest.data(), digest.size()));
+  return k;
+}
+
+struct HostileItem {
+  Bytes public_key;
+  Bytes message;
+  Bytes signature;
+};
+
+Bytes signature_of(const Bytes& r, const Scalar& s) {
+  Bytes out = r;
+  out.insert(out.end(), s.begin(), s.end());
+  return out;
+}
+
+/// Signatures built around small-order A or R, and non-canonical encodings
+/// of y (in A and in R) and of S. Some verify, some do not.
+std::vector<HostileItem> hostile_items(Rng& rng) {
+  std::vector<HostileItem> items;
+  const std::vector<Bytes> small = small_order_encodings();
+  EXPECT_EQ(small.size(), 8u);
+  for (const Bytes& torsion : small) {
+    // A small-order: [S]B = R + [k]A holds up to torsion when R = [r]B, S = r.
+    const Scalar r = random_scalar(rng);
+    const Bytes r_enc = encode(ed::ge_scalarmult_base(r.data()));
+    items.push_back({torsion, rng.bytes(12), signature_of(r_enc, r)});
+    items.push_back({torsion, rng.bytes(12), signature_of(r_enc, random_scalar(rng))});
+
+    // R small-order under an honest key: S = k*a satisfies the equation up
+    // to torsion; a random S does not.
+    const KeyPair pair = KeyPair::generate(rng);
+    const ed::ExpandedKey key = ed::expand_seed(pair.seed);
+    const Bytes message = rng.bytes(12);
+    const Scalar k = challenge(torsion, pair.public_key, message);
+    Scalar s;
+    ed::scalar_mul(s.data(), k.data(), key.scalar);
+    items.push_back({pair.public_key, message, signature_of(torsion, s)});
+    items.push_back({pair.public_key, message, signature_of(torsion, random_scalar(rng))});
+  }
+
+  const KeyPair pair = KeyPair::generate(rng);
+  const Bytes message = rng.bytes(20);
+  const Bytes honest = ed25519_sign(pair, message);
+  // Non-canonical S: S + L encodes the same residue.
+  Scalar s_plus_l;
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    carry += static_cast<unsigned>(honest[32 + i]) + kOrderL[i];
+    s_plus_l[i] = static_cast<std::uint8_t>(carry);
+    carry >>= 8;
+  }
+  items.push_back({pair.public_key, message,
+                   signature_of(Bytes(honest.begin(), honest.begin() + 32), s_plus_l)});
+
+  // Non-canonical y: p + 1 (the identity's y) and p (y = 0), plus the
+  // identity with its x sign bit set ("-0").
+  Bytes y_p_plus_1(32, 0xff);
+  y_p_plus_1[0] = 0xee;
+  y_p_plus_1[31] = 0x7f;
+  Bytes y_p(32, 0xff);
+  y_p[0] = 0xed;
+  y_p[31] = 0x7f;
+  Bytes minus_zero(32, 0);
+  minus_zero[0] = 1;
+  minus_zero[31] = 0x80;
+  const Scalar r = random_scalar(rng);
+  const Bytes r_enc = encode(ed::ge_scalarmult_base(r.data()));
+  for (const Bytes& bad : {y_p_plus_1, y_p, minus_zero}) {
+    // As A, with a signature that would verify under the identity key.
+    items.push_back({bad, message, signature_of(r_enc, r)});
+    // As R.
+    items.push_back({pair.public_key, message,
+                     signature_of(bad, Scalar{})});
+  }
+  return items;
+}
+
+TEST(Ed25519Batch, AgreesWithSingleVerifyOnSmallOrderAndNonCanonicalInputs) {
+  Rng rng(704);
+  const std::vector<HostileItem> hostile = hostile_items(rng);
+  std::vector<bool> single;
+  std::size_t accepted = 0;
+  for (const HostileItem& item : hostile) {
+    single.push_back(ed25519_verify(item.public_key, item.message, item.signature));
+    accepted += single.back() ? 1 : 0;
+  }
+  // The constructed equations hold up to torsion for every small-order A
+  // and R (16 items); every random-S and non-canonical item fails.
+  EXPECT_EQ(accepted, 16u);
+
+  const SignedBatch honest = make_signed_batch(rng, 3);
+  auto check = [&](const std::vector<std::size_t>& picks, const std::string& label) {
+    std::vector<BatchVerifyItem> items = honest.items();
+    for (const std::size_t i : picks) {
+      items.push_back({hostile[i].public_key, hostile[i].message, hostile[i].signature});
+    }
+    const BatchVerifyResult result = ed25519_batch_verify(items);
+    for (std::size_t j = 0; j < 3; ++j) EXPECT_TRUE(result.valid[j]) << label;
+    for (std::size_t j = 0; j < picks.size(); ++j) {
+      EXPECT_EQ(result.valid[3 + j], single[picks[j]]) << label << " hostile item " << picks[j];
+    }
+  };
+  // Each hostile item alone among honest ones, then all of them at once
+  // (where torsion defects could cancel each other), then random subsets.
+  std::vector<std::size_t> all;
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    check({i}, "alone");
+    all.push_back(i);
+  }
+  check(all, "all together");
+  for (int trial = 0; trial < 12; ++trial) {
+    std::vector<std::size_t> picks;
+    for (std::size_t i = 0; i < hostile.size(); ++i) {
+      if (rng.next_below(3) == 0) picks.push_back(i);
+    }
+    check(picks, "subset " + std::to_string(trial));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -769,8 +1150,8 @@ TEST(Multisig, ThresholdSatisfaction) {
   MultisigCertificate cert(to_bytes("value v at timestamp 7 is stable"));
   EXPECT_FALSE(cert.satisfies(1, keys));
 
-  cert.add_share(NodeId{0}, ed25519_sign(pairs[0].seed, cert.statement()));
-  cert.add_share(NodeId{1}, ed25519_sign(pairs[1].seed, cert.statement()));
+  cert.add_share(NodeId{0}, ed25519_sign(pairs[0], cert.statement()));
+  cert.add_share(NodeId{1}, ed25519_sign(pairs[1], cert.statement()));
   EXPECT_TRUE(cert.satisfies(2, keys));
   EXPECT_FALSE(cert.satisfies(3, keys));
 
@@ -779,10 +1160,10 @@ TEST(Multisig, ThresholdSatisfaction) {
   EXPECT_FALSE(cert.satisfies(3, keys));
 
   // Duplicate signer is not double counted.
-  cert.add_share(NodeId{0}, ed25519_sign(pairs[0].seed, cert.statement()));
+  cert.add_share(NodeId{0}, ed25519_sign(pairs[0], cert.statement()));
   EXPECT_EQ(cert.count_valid(keys), 2u);
 
-  cert.add_share(NodeId{3}, ed25519_sign(pairs[3].seed, cert.statement()));
+  cert.add_share(NodeId{3}, ed25519_sign(pairs[3], cert.statement()));
   EXPECT_TRUE(cert.satisfies(3, keys));
 }
 
@@ -790,7 +1171,7 @@ TEST(Multisig, SerializationRoundtrip) {
   Rng rng(56);
   const KeyPair pair = KeyPair::generate(rng);
   MultisigCertificate cert(to_bytes("statement"));
-  cert.add_share(NodeId{9}, ed25519_sign(pair.seed, cert.statement()));
+  cert.add_share(NodeId{9}, ed25519_sign(pair, cert.statement()));
 
   const MultisigCertificate parsed = MultisigCertificate::deserialize(cert.serialize());
   EXPECT_EQ(parsed.statement(), cert.statement());
@@ -812,7 +1193,7 @@ TEST(CryptoMeter, CountsOperations) {
   meter.reset();
 
   const Bytes message = to_bytes("metered");
-  const Bytes signature = meter_sign(pair.seed, message);
+  const Bytes signature = meter_sign(pair, message);
   EXPECT_TRUE(meter_verify(pair.public_key, message, signature));
   (void)meter_digest(message);
   (void)meter_mac(to_bytes("key"), message);

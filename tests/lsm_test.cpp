@@ -576,7 +576,7 @@ TEST(LsmServer, EquivocationFlagSurvivesLsmCrashRecovery) {
   // path (full validation, no ownership gate) on server 1.
   const crypto::KeyPair& keys = cluster.client_keys(ClientId{1});
   auto sign = [&](WriteRecord record) {
-    record.sign(keys.seed);
+    record.sign(keys);
     return record;
   };
   WriteRecord a = make_record(kX, 7, "tell alice A");

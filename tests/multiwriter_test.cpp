@@ -306,7 +306,7 @@ TEST(MultiWriter, ReaderPicksCommonValueWhileNewestDisseminates) {
     v2.ts = core::Timestamp{writer->context().get(kPlan).time + 1, ClientId{1},
                             v2.value_digest};
     v2.writer_context = core::Context(kGroup);
-    v2.sign(cluster.client_keys(ClientId{1}).seed);
+    v2.sign(cluster.client_keys(ClientId{1}));
 
     core::WriteReq req;
     req.record = v2;

@@ -68,7 +68,7 @@ TEST(RingCodec, SignedRoundTripVerifiesAndTamperFails) {
   const crypto::KeyPair attacker = crypto::KeyPair::generate(rng);
 
   const SignedRingState signed_ring =
-      SignedRingState::sign(make_ring_state(2, 64), authority.seed);
+      SignedRingState::sign(make_ring_state(2, 64), authority);
   EXPECT_TRUE(signed_ring.verify(authority.public_key));
   EXPECT_FALSE(signed_ring.verify(attacker.public_key));
   EXPECT_FALSE(signed_ring.verify(Bytes{}));
@@ -169,24 +169,24 @@ TEST(Router, AcceptsOnlyStrictlyNewerVerifiedRings) {
   const crypto::KeyPair attacker = crypto::KeyPair::generate(rng);
 
   ShardRouter router(SignedRingState::sign(make_ring_state(2, 64, /*version=*/1),
-                                           authority.seed),
+                                           authority),
                      router_template(authority.public_key));
   EXPECT_EQ(router.version(), 1u);
   EXPECT_EQ(router.shard_count(), 2u);
 
   // Same version: replay, refused.
   EXPECT_FALSE(router.update(
-      SignedRingState::sign(make_ring_state(3, 64, /*version=*/1), authority.seed)));
+      SignedRingState::sign(make_ring_state(3, 64, /*version=*/1), authority)));
   // Older: refused.
   EXPECT_FALSE(router.update(
-      SignedRingState::sign(make_ring_state(3, 64, /*version=*/0), authority.seed)));
+      SignedRingState::sign(make_ring_state(3, 64, /*version=*/0), authority)));
   // Newer but forged: refused, version unchanged.
   EXPECT_FALSE(router.update(
-      SignedRingState::sign(make_ring_state(3, 64, /*version=*/5), attacker.seed)));
+      SignedRingState::sign(make_ring_state(3, 64, /*version=*/5), attacker)));
   EXPECT_EQ(router.version(), 1u);
   // Newer and authentic: installed.
   EXPECT_TRUE(router.update(
-      SignedRingState::sign(make_ring_state(3, 64, /*version=*/2), authority.seed)));
+      SignedRingState::sign(make_ring_state(3, 64, /*version=*/2), authority)));
   EXPECT_EQ(router.version(), 2u);
   EXPECT_EQ(router.shard_count(), 3u);
 }
@@ -195,7 +195,7 @@ TEST(Router, DerivesShardConfigFromRing) {
   Rng rng(6);
   const crypto::KeyPair authority = crypto::KeyPair::generate(rng);
   const RingState state = make_ring_state(2, 64);
-  ShardRouter router(SignedRingState::sign(state, authority.seed),
+  ShardRouter router(SignedRingState::sign(state, authority),
                      router_template(authority.public_key));
 
   const core::StoreConfig config = router.config_for(1);
@@ -303,7 +303,7 @@ TEST(ShardedDeployment, ForgedRingIsIgnored) {
   RingState forged = cluster.ring().ring;
   forged.version = 1000;
   forged.shards.resize(1);  // the attack: collapse everything onto shard 0
-  const SignedRingState forged_signed = SignedRingState::sign(forged, attacker.seed);
+  const SignedRingState forged_signed = SignedRingState::sign(forged, attacker);
 
   net::RpcNode byzantine(cluster.endpoint_transport(), NodeId{9999});
   byzantine.send_oneway(cluster.group(0).server_node(0), net::MsgType::kGossipRing,
