@@ -1,11 +1,12 @@
 // Experiment E13 — durability cost of the write-ahead log.
 //
 // The paper's store is in-memory with periodic snapshots; the WAL subsystem
-// adds per-write durability. This bench quantifies what each fsync policy
-// pays for its guarantee: `always` buys zero acked-write loss at one fsync
-// per append, `interval` amortizes fsyncs over a group-commit window, and
-// `never` leaves flushing to the OS. A final pass measures recovery replay
-// speed — the cost of rebuilding state from the log after a crash.
+// adds per-write durability. This bench quantifies what a commit costs:
+// `always` commits (fsyncs) after every append, `batch-k` commits once per
+// k appends — the server's group commit, one fsync per delivery batch —
+// and `never` leaves flushing to the OS. Every `always`/`batch` row is
+// durable before its ack would leave. A final pass measures recovery
+// replay speed — the cost of rebuilding state from the log after a crash.
 //
 // Unlike the protocol benches this one measures real wall-clock disk I/O,
 // so absolute numbers vary by machine; the *ratios* between policies are
@@ -41,18 +42,15 @@ double elapsed_seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-PolicyResult run_policy(FsyncPolicy policy, std::size_t appends, std::size_t sync_every,
-                        obs::Registry& registry) {
+PolicyResult run_policy(const char* name, FsyncPolicy policy, std::size_t appends,
+                        std::size_t sync_every, obs::Registry& registry) {
   std::string dir = (std::filesystem::temp_directory_path() / "bench_e13_XXXXXX").string();
   if (mkdtemp(dir.data()) == nullptr) std::abort();
 
-  // Per-append latency distribution, keyed by policy so the sidecar's
-  // histograms separate the fsync-per-append floor from the amortized modes.
-  obs::Histogram& append_us =
-      registry.histogram(std::string("bench.wal.append_us.") +
-                         (policy == FsyncPolicy::kAlways     ? "always"
-                          : policy == FsyncPolicy::kInterval ? "interval"
-                                                             : "never"));
+  // Per-append latency distribution (the append plus, when it closes a
+  // commit group, the commit), keyed by row so the sidecar's histograms
+  // separate the fsync-per-append floor from the amortized modes.
+  obs::Histogram& append_us = registry.histogram(std::string("bench.wal.append_us.") + name);
 
   const Bytes payload(kPayloadBytes, 0x42);
   PolicyResult result;
@@ -62,11 +60,12 @@ PolicyResult run_policy(FsyncPolicy policy, std::size_t appends, std::size_t syn
     for (std::size_t i = 0; i < appends; ++i) {
       const auto t0 = std::chrono::steady_clock::now();
       wal.append(WalEntryType::kWrite, payload);
+      // The commit point: every sync_every appends, as a server commits
+      // once per delivery batch of that many writes.
+      if (sync_every > 0 && (i + 1) % sync_every == 0) wal.sync();
       append_us.observe(
           std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
               .count());
-      // Model the server's group-commit timer under the interval policy.
-      if (policy == FsyncPolicy::kInterval && (i + 1) % sync_every == 0) wal.sync();
     }
     result.total_seconds = elapsed_seconds(start);
     result.appends = wal.stats().appends;
@@ -74,12 +73,12 @@ PolicyResult run_policy(FsyncPolicy policy, std::size_t appends, std::size_t syn
     result.rotations = wal.stats().rotations;
   }
 
-  // Recovery: scan + CRC-check + replay every frame, as a rebooting server
-  // would.
+  // Recovery: open, CRC-check and replay every frame in one pass, as a
+  // rebooting server does.
   {
     const auto start = std::chrono::steady_clock::now();
-    WriteAheadLog recovered({dir, policy, 4u << 20});
-    recovered.replay(0, [&](std::uint64_t, WalEntryType, BytesView) { ++result.replayed; });
+    WriteAheadLog recovered({dir, policy, 4u << 20}, /*replay_after=*/0,
+                            [&](std::uint64_t, WalEntryType, BytesView) { ++result.replayed; });
     result.replay_seconds = elapsed_seconds(start);
   }
 
@@ -90,19 +89,19 @@ PolicyResult run_policy(FsyncPolicy policy, std::size_t appends, std::size_t syn
 void run() {
   print_title("E13: WAL write cost and recovery speed per fsync policy");
   print_claim(
-      "durable acked writes cost one fsync each under `always`; group commit "
-      "(`interval`) amortizes that to ~1/window with a bounded loss window; "
-      "recovery replays the log at memory speed after CRC checks");
+      "durable acked writes cost one fsync each when every append commits "
+      "alone; group commit (`batch-k`) amortizes that to ~1/k with no loss "
+      "window; recovery replays the log at memory speed after CRC checks");
 
   const struct {
     FsyncPolicy policy;
     const char* name;
     std::size_t appends;
-    std::size_t sync_every;  // interval policy: group-commit window
+    std::size_t sync_every;  // appends per commit (0 = never commit)
   } kCells[] = {
       {FsyncPolicy::kAlways, "always", 2000, 1},
-      {FsyncPolicy::kInterval, "interval-10", 20000, 10},
-      {FsyncPolicy::kInterval, "interval-100", 20000, 100},
+      {FsyncPolicy::kAlways, "batch-10", 20000, 10},
+      {FsyncPolicy::kAlways, "batch-100", 20000, 100},
       {FsyncPolicy::kNever, "never", 20000, 0},
   };
 
@@ -113,7 +112,7 @@ void run() {
 
   for (const auto& cell : kCells) {
     const PolicyResult result =
-        run_policy(cell.policy, cell.appends, cell.sync_every, registry);
+        run_policy(cell.name, cell.policy, cell.appends, cell.sync_every, registry);
     const double us_per_append = result.total_seconds * 1e6 / result.appends;
     const double appends_per_s = result.appends / result.total_seconds;
     const double replay_per_s =
@@ -142,10 +141,11 @@ void run() {
   std::printf(
       "\n256-byte payloads, 4 MB segments, tmpfs-or-disk per machine. `always`\n"
       "pays one fsync per append — the floor is the device sync latency.\n"
-      "`interval-k` fsyncs once per k appends (the server's flush timer):\n"
-      "throughput approaches `never` as k grows, while the crash-loss window\n"
-      "stays bounded by the flush interval. Recovery replays every surviving\n"
-      "frame through the CRC check; its rate bounds restart time.\n");
+      "`batch-k` fsyncs once per k appends (a server's commit per delivery\n"
+      "batch of k writes): throughput approaches `never` as k grows, and\n"
+      "nothing is acked before its commit, so there is no loss window.\n"
+      "Recovery replays every surviving frame through the CRC check; its\n"
+      "rate bounds restart time.\n");
 
   emit_metrics(json, registry);
 }

@@ -185,7 +185,7 @@ SustainedResult run_sustained(StorageEngineKind kind) {
   options.n = 4;
   options.b = 1;
   options.durability_dir = dir;  // both engines pay the same WAL
-  options.fsync = storage::FsyncPolicy::kInterval;
+  options.fsync = storage::FsyncPolicy::kAlways;
   options.engine.kind = kind;
   options.engine.memtable_budget_bytes = kSustainedBudget;
   options.engine.l0_compact_threshold = 3;

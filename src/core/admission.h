@@ -4,7 +4,7 @@
 // system does, so queues grow without bound and every request — admitted or
 // not — times out: queueing collapse. The defense is to shed work *before*
 // queues grow: the server samples live pressure signals (delivery-ring /
-// service-queue backlog, WAL append latency, storage-engine memtable and
+// service-queue backlog, WAL commit latency, storage-engine memtable and
 // compaction debt) and, past a high watermark, refuses new client requests
 // with `kOverloaded` plus a signed retry-after hint. Quorum-critical
 // traffic — gossip anti-entropy, stability certificates, responses to
@@ -34,7 +34,9 @@ struct AdmissionSignals {
   /// (delivery-ring occupancy on real transports, modeled service queue
   /// under the simulator).
   std::size_t net_backlog = 0;
-  /// Exponentially-weighted moving average of WAL append latency (wall µs).
+  /// Exponentially-weighted moving average of WAL commit latency (wall µs):
+  /// the per-batch fsync, where a slow disk shows. (Named for the append
+  /// that carried the fsync before group commit.)
   double wal_append_ewma_us = 0;
   /// Memtable fill and compaction debt; zeros for the in-memory engine.
   storage::StorageEngine::Pressure engine;
@@ -51,12 +53,14 @@ class AdmissionController {
     /// request is already doomed to time out.
     std::size_t net_backlog_high = 192;
     std::size_t net_backlog_low = 48;
-    /// WAL append-latency EWMA band (wall µs). Appends are normally tens
-    /// of microseconds; a persistent multi-millisecond average means the
-    /// disk is the bottleneck and acks are lying about responsiveness.
+    /// WAL commit-latency EWMA band (wall µs). A commit is one fsync,
+    /// normally well under a millisecond; a persistent multi-millisecond
+    /// average means the disk is the bottleneck and acks are lying about
+    /// responsiveness.
     double wal_append_high_us = 50'000;
     double wal_append_low_us = 10'000;
-    /// EWMA smoothing factor for WAL samples (weight of the new sample).
+    /// EWMA smoothing factor for WAL commit samples (weight of the new
+    /// sample).
     double wal_ewma_alpha = 0.1;
     /// Engine pressure: shed when the memtable exceeds this multiple of
     /// its flush budget (flush is not keeping up) ...
@@ -76,8 +80,8 @@ class AdmissionController {
 
   const Options& options() const { return options_; }
 
-  /// Feeds one WAL append latency sample (wall µs) into the EWMA.
-  void note_wal_append(double us) {
+  /// Feeds one WAL commit latency sample (wall µs) into the EWMA.
+  void note_wal_commit(double us) {
     wal_ewma_us_ += options_.wal_ewma_alpha * (us - wal_ewma_us_);
   }
   double wal_append_ewma_us() const { return wal_ewma_us_; }

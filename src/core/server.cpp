@@ -23,7 +23,6 @@ SecureStoreServer::SecureStoreServer(net::Transport& transport, NodeId id, Store
       keys_(std::move(keys)),
       options_(std::move(options)),
       events_(transport.events()),
-      items_(make_engine()),
       admission_(options_.admission),
       req_other_(transport.registry().counter("server.req.other" + options_.metric_suffix)),
       equivocations_(
@@ -47,6 +46,11 @@ SecureStoreServer::SecureStoreServer(net::Transport& transport, NodeId id, Store
           transport.registry().counter("shard.ring_rejected" + options_.metric_suffix)) {
   config_.validate();
   boot_at_ = transport.now();
+  // Boot phases are timed (server.boot.*) so a live cluster can say where
+  // a reboot's time goes: engine open, snapshot + audit chain, WAL replay.
+  const std::uint64_t engine_start = obs::wall_now_us();
+  items_ = make_engine();
+  observe_boot_phase("engine", engine_start);
   introspect_tokens_ = options_.introspect.burst;
   introspect_refill_at_ = boot_at_;
   // Request-mix counters: one per request type this server answers, plus
@@ -112,17 +116,17 @@ SecureStoreServer::SecureStoreServer(net::Transport& transport, NodeId id, Store
   gossip_->set_ring_hooks([this] { return ring_bytes_; },
                           [this](NodeId from, BytesView body) { install_ring_bytes(from, body); });
 
-  node_.set_request_handler([this](NodeId from, net::MsgType type, BytesView body) {
-    return handle_request(from, type, body, node_.incoming_trace());
-  });
-  // The batched hot path: on transports with native delivery batching, every
-  // request pending at one dispatch wakeup arrives here in a single call.
+  // Every request reaches the server here: all requests pending at one
+  // dispatch wakeup in a single call (a batch of one on the simulator).
   node_.set_batch_request_handler([this](std::vector<net::IncomingRequest>& batch) {
     return handle_request_batch(batch);
   });
   node_.set_oneway_handler([this](NodeId from, net::MsgType type, BytesView body) {
     handle_oneway(from, type, body);
   });
+  // Group commit (DESIGN.md §7): one WAL sync per delivered batch, after
+  // every handler ran and before any response leaves.
+  node_.set_commit_hook([this] { commit_wal(); });
 
   if (options_.start_gossip) gossip_->start();
 
@@ -140,20 +144,13 @@ SecureStoreServer::SecureStoreServer(net::Transport& transport, NodeId id, Store
     };
     schedule_save(schedule_save);
   }
-  if (wal_ != nullptr && options_.durability->fsync == storage::FsyncPolicy::kInterval) {
-    // Group commit: one fsync per tick covers every append since the last.
-    const auto schedule_flush = [this](auto&& self) -> void {
-      node_.transport().schedule(
-          options_.durability->flush_interval, [this, alive = alive_, self]() {
-            if (!*alive) return;
-            const std::uint64_t start = obs::wall_now_us();
-            wal_->sync();
-            wal_sync_us_.observe(static_cast<double>(obs::wall_now_us() - start));
-            self(self);
-          });
-    };
-    schedule_flush(schedule_flush);
-  }
+}
+
+void SecureStoreServer::observe_boot_phase(const std::string& phase, std::uint64_t start_us) {
+  node_.transport()
+      .registry()
+      .histogram("server.boot." + phase + "_us" + options_.metric_suffix)
+      .observe(static_cast<double>(obs::wall_now_us() - start_us));
 }
 
 std::unique_ptr<storage::StorageEngine> SecureStoreServer::make_engine() {
@@ -182,6 +179,7 @@ std::unique_ptr<storage::StorageEngine> SecureStoreServer::make_engine() {
 void SecureStoreServer::boot_from_disk() {
   if (options_.snapshot_path.has_value() &&
       std::filesystem::exists(*options_.snapshot_path)) {
+    const std::uint64_t snapshot_start = obs::wall_now_us();
     try {
       restore(storage::load_snapshot_file(*options_.snapshot_path));
     } catch (const std::exception& error) {
@@ -204,30 +202,34 @@ void SecureStoreServer::boot_from_disk() {
       audit_ = storage::AuditLog();
       wal_covered_lsn_ = 0;
     }
+    observe_boot_phase("snapshot", snapshot_start);
   }
   if (options_.durability.has_value()) {
+    const std::uint64_t wal_start = obs::wall_now_us();
     storage::WalOptions wal_options;
     wal_options.dir = options_.durability->wal_dir;
     wal_options.fsync = options_.durability->fsync;
     wal_options.segment_bytes = options_.durability->wal_segment_bytes;
-    wal_ = std::make_unique<storage::WriteAheadLog>(std::move(wal_options));
-    // A fresh/behind WAL must never reuse LSNs the snapshot already covers.
-    wal_->reserve_through(std::max(wal_covered_lsn_, items_->durable_lsn()));
     // A persistent engine may be behind OR ahead of the blob (e.g. a
     // quarantined SST reports durable_lsn 0; a budget-triggered flush runs
     // between snapshots). Replay from the older coverage — re-applied
-    // entries land as kDuplicate.
+    // entries land as kDuplicate. Opening the log replays it in the same
+    // pass that CRC-checks it.
     std::uint64_t replay_from = wal_covered_lsn_;
     if (items_->persistent()) replay_from = std::min(replay_from, items_->durable_lsn());
     wal_replaying_ = true;
-    wal_->replay(replay_from,
-                 [this](std::uint64_t lsn, storage::WalEntryType type, BytesView payload) {
-                   replay_lsn_ = lsn;
-                   replay_wal_entry(type, payload);
-                 });
+    wal_ = std::make_unique<storage::WriteAheadLog>(
+        std::move(wal_options), replay_from,
+        [this](std::uint64_t lsn, storage::WalEntryType type, BytesView payload) {
+          replay_lsn_ = lsn;
+          replay_wal_entry(type, payload);
+        });
     wal_replaying_ = false;
+    // A fresh/behind WAL must never reuse LSNs the snapshot already covers.
+    wal_->reserve_through(std::max(wal_covered_lsn_, items_->durable_lsn()));
     // Everything replayed is applied: let the engine's next flush cover it.
     note_engine_watermark(wal_->last_lsn());
+    observe_boot_phase("wal", wal_start);
   }
 }
 
@@ -277,15 +279,37 @@ std::uint64_t SecureStoreServer::wal_append(storage::WalEntryType type, BytesVie
   const std::uint64_t lsn = wal_->append(type, payload);
   const std::uint64_t elapsed = obs::wall_now_us() - start;
   wal_append_us_.observe(static_cast<double>(elapsed));
-  local_wal_append_us_.observe(static_cast<double>(elapsed));
-  admission_.note_wal_append(static_cast<double>(elapsed));
   if (events_.want(active_trace_)) {
     events_.span(node_.id().value, active_trace_, "server.wal.append", "server",
                  static_cast<std::uint64_t>(node_.transport().now()), elapsed);
+    if (std::find(commit_traces_.begin(), commit_traces_.end(), active_trace_) ==
+        commit_traces_.end()) {
+      commit_traces_.push_back(active_trace_);
+    }
   }
   note_engine_watermark(lsn);
   return lsn;
 }
+
+void SecureStoreServer::commit_wal() {
+  if (wal_ == nullptr || !wal_->has_unsynced()) return;
+  const std::uint64_t start = obs::wall_now_us();
+  sync_wal(*wal_);
+  const std::uint64_t elapsed = obs::wall_now_us() - start;
+  // The commit holds the fsync, so a slow disk shows here, not in the
+  // append: it feeds the sync histogram, the introspection p99 and
+  // admission control.
+  wal_sync_us_.observe(static_cast<double>(elapsed));
+  local_wal_commit_us_.observe(static_cast<double>(elapsed));
+  admission_.note_wal_commit(static_cast<double>(elapsed));
+  const auto ts = static_cast<std::uint64_t>(node_.transport().now());
+  for (const obs::TraceContext& trace : commit_traces_) {
+    events_.span(node_.id().value, trace, "server.wal.commit", "server", ts, elapsed);
+  }
+  commit_traces_.clear();
+}
+
+void SecureStoreServer::sync_wal(storage::WriteAheadLog& wal) { wal.sync(); }
 
 void SecureStoreServer::note_engine_watermark(std::uint64_t lsn) {
   if (hold_lsn_floor_.has_value()) lsn = std::min(lsn, *hold_lsn_floor_);
@@ -350,7 +374,8 @@ void SecureStoreServer::save_snapshot_now() {
   storage::save_snapshot_file(*options_.snapshot_path, snapshot());
   if (wal_ != nullptr) {
     // Everything up to here is durable in the snapshot (the file and its
-    // directory are fsynced): dead segments can go.
+    // directory are fsynced) and in the committed WAL: dead segments can go.
+    commit_wal();
     wal_covered_lsn_ = std::min(covered_lsn_target(), engine_covered);
     wal_->truncate_up_to(wal_covered_lsn_);
   }
@@ -454,6 +479,7 @@ bool SecureStoreServer::import_record(const WriteRecord& record) {
   if (record.flags & kScattered) return false;
   if (!validate_record(record)) return false;
   apply_with_holds(record);
+  commit_wal();  // outside any delivery batch: commit for ourselves
   return true;
 }
 
@@ -464,6 +490,7 @@ bool SecureStoreServer::import_context(const StoredContext& stored) {
     Writer w;
     stored.encode(w);
     wal_append(storage::WalEntryType::kContext, w.data());
+    commit_wal();
   }
   return true;
 }
@@ -529,7 +556,7 @@ obs::ServerSample SecureStoreServer::introspect_status() const {
   const SimTime last_activity = std::max<SimTime>(gossip_->last_tick_at(), boot_at_);
   s.gossip_idle_us = now - last_activity;
   s.wal_append_ewma_us = admission_.wal_append_ewma_us();
-  s.wal_append_p99_us = local_wal_append_us_.snapshot().p99();
+  s.wal_append_p99_us = local_wal_commit_us_.snapshot().p99();
   const storage::StorageEngine::Pressure pressure = items_->pressure();
   s.compaction_lag = pressure.compaction_lag;
   s.memtable_bytes = pressure.memtable_bytes;

@@ -38,8 +38,9 @@ namespace securestore::core {
 class SecureStoreServer {
  public:
   /// Write-ahead logging knobs. Every accepted write/context/hold-release
-  /// is appended (and made durable per `fsync`) before the ack, so a crash
-  /// between snapshots loses nothing an honest client was told succeeded.
+  /// is appended, and each delivery batch's appends are committed (one
+  /// fsync under kAlways) before any of its acks leave, so a crash between
+  /// snapshots loses nothing an honest client was told succeeded.
   struct DurabilityOptions {
     /// Directory for WAL segments (created if missing).
     std::string wal_dir;
@@ -47,10 +48,6 @@ class SecureStoreServer {
     /// Empty = `wal_dir + ".lsm"`. Ignored by the in-memory engine.
     std::string data_dir;
     storage::FsyncPolicy fsync = storage::FsyncPolicy::kAlways;
-    /// Group-commit cadence under FsyncPolicy::kInterval: writes are acked
-    /// immediately but become durable at the next flush tick, bounding the
-    /// loss window by this interval.
-    SimDuration flush_interval = milliseconds(5);
     std::size_t wal_segment_bytes = 1u << 20;
   };
 
@@ -198,6 +195,11 @@ class SecureStoreServer {
       NodeId from, net::MsgType request_type, BytesView request_body,
       std::optional<std::pair<net::MsgType, Bytes>> honest);
 
+  /// Fault hook: the WAL commit's fsync (default `wal.sync()`). A faulty
+  /// subclass may stall it to model a slow disk; the stall is timed as
+  /// commit latency like any real one.
+  virtual void sync_wal(storage::WriteAheadLog& wal);
+
   const StoreConfig& config_ref() const { return config_; }
 
  private:
@@ -284,6 +286,14 @@ class SecureStoreServer {
   /// parked in the hold queue, since those are WAL-only until released.
   std::uint64_t wal_append(storage::WalEntryType type, BytesView payload);
   std::uint64_t wal_append_record(storage::WalEntryType type, const WriteRecord& record);
+  /// The commit point (DESIGN.md §7): syncs every entry appended since the
+  /// last commit, timing it into `server.wal.sync_us`, the introspection
+  /// p99 and admission control, with one `server.wal.commit` span per
+  /// sampled trace that appended. Runs once per delivery batch (the rpc
+  /// commit hook) and wherever the server appends outside one.
+  void commit_wal();
+  /// Observes the wall time since `start_us` into `server.boot.<phase>_us`.
+  void observe_boot_phase(const std::string& phase, std::uint64_t start_us);
 
   /// The WAL position the next snapshot blob may claim as covered: the last
   /// appended LSN, clamped by the hold floor so a crash replays held-but-
@@ -305,10 +315,14 @@ class SecureStoreServer {
   /// layer to spans emitted deep inside the apply/WAL paths.
   obs::EventLog& events_;
   obs::TraceContext active_trace_{};
+  /// Sampled traces that appended to the WAL since the last commit; each
+  /// gets a `server.wal.commit` span when the commit runs.
+  std::vector<obs::TraceContext> commit_traces_;
   /// Batch pre-verification verdict for the kWrite currently dispatching
   /// through handle_request: set (to the record's full validity) by
   /// handle_request_batch, consulted by handle_write instead of a scalar
-  /// validate_record. Unset on the per-message path.
+  /// validate_record. Unset for requests the batch pre-pass did not
+  /// settle.
   std::optional<bool> prevalidated_write_;
   std::unique_ptr<storage::StorageEngine> items_;
   storage::ContextStore contexts_;
@@ -337,14 +351,14 @@ class SecureStoreServer {
   /// keyed by quantized retry-after value.
   AdmissionController admission_;
   std::unordered_map<std::uint32_t, Bytes> overload_bodies_;
-  /// Introspection state (PROTOCOL.md §13). The local WAL-append histogram
-  /// duplicates `wal_append_us_` observations because the registry metric
+  /// Introspection state (PROTOCOL.md §13). The local WAL-commit histogram
+  /// duplicates `wal_sync_us_` observations because the registry metric
   /// is deployment-wide (all servers share the suffix-qualified name) —
   /// per-server p99 needs per-server buckets. Request/shed counts are
   /// local for the same reason: the watchdog differences *this* server's
   /// counters, not the deployment aggregate.
   SimTime boot_at_ = 0;
-  obs::Histogram local_wal_append_us_;
+  obs::Histogram local_wal_commit_us_;
   std::uint64_t requests_dispatched_ = 0;
   std::uint64_t requests_shed_ = 0;
   double introspect_tokens_ = 0;

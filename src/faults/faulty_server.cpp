@@ -1,5 +1,7 @@
 #include "faults/faulty_server.h"
 
+#include <thread>
+
 #include "util/serial.h"
 
 namespace securestore::faults {
@@ -11,6 +13,11 @@ FaultyServer::FaultyServer(net::Transport& transport, NodeId id, core::StoreConf
                         std::move(options), std::move(rng)),
       faults_(std::move(faults)) {
   if (has(ServerFault::kCrash)) gossip().stop();
+}
+
+void FaultyServer::sync_wal(storage::WriteAheadLog& wal) {
+  SecureStoreServer::sync_wal(wal);
+  if (has(ServerFault::kSlowDisk)) std::this_thread::sleep_for(kSlowDiskStall);
 }
 
 bool FaultyServer::accept_request(NodeId /*from*/, net::MsgType type) {

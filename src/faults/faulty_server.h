@@ -10,6 +10,7 @@
 // Used by the availability/robustness tests and by benches E7/E8.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -38,7 +39,13 @@ enum class ServerFault : std::uint8_t {
   /// Acknowledges writes with ok=true but throws them away (lying about
   /// durability).
   kDropWrites,
+  /// Honest, but every WAL commit stalls kSlowDiskStall (a failing or
+  /// saturated disk): what admission control must see to shed.
+  kSlowDisk,
 };
+
+/// Extra latency each WAL commit pays under ServerFault::kSlowDisk.
+inline constexpr std::chrono::milliseconds kSlowDiskStall{20};
 
 class FaultyServer final : public core::SecureStoreServer {
  public:
@@ -56,6 +63,7 @@ class FaultyServer final : public core::SecureStoreServer {
   std::optional<std::pair<net::MsgType, Bytes>> filter_response(
       NodeId from, net::MsgType request_type, BytesView request_body,
       std::optional<std::pair<net::MsgType, Bytes>> honest) override;
+  void sync_wal(storage::WriteAheadLog& wal) override;
 
  private:
   Bytes corrupted(net::MsgType type, Bytes honest_body) const;

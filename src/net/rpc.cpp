@@ -139,64 +139,36 @@ void RpcNode::handle_response(NodeId from, const Parsed& msg) {
   callback(from, msg.type, msg.body);
 }
 
-void RpcNode::deliver(NodeId from, BytesView payload) {
-  auto parsed = parse_envelope(payload);
-  if (!parsed.has_value()) return;
-  Parsed& msg = *parsed;
-
-  switch (msg.kind) {
-    case Kind::kRequest: {
-      if (!request_handler_) return;
-      incoming_trace_ = msg.trace;
-      const auto response = request_handler_(from, msg.type, msg.body);
-      incoming_trace_ = obs::TraceContext{};
-      if (!response.has_value()) return;
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(Kind::kResponse));
-      w.u64(msg.rpc_id);
-      w.u16(static_cast<std::uint16_t>(response->first));
-      w.raw(response->second);
-      transport_.send(id_, from, w.take());
-      return;
-    }
-    case Kind::kResponse:
-      handle_response(from, msg);
-      return;
-    case Kind::kOneway: {
-      if (!oneway_handler_) return;
-      incoming_trace_ = msg.trace;
-      oneway_handler_(from, msg.type, msg.body);
-      incoming_trace_ = obs::TraceContext{};
-      return;
-    }
-  }
-}
-
 void RpcNode::deliver_batch(std::vector<Delivery>& batch) {
-  if (!batch_request_handler_) {
-    // No batch handler installed: process each message exactly as the
-    // per-message path always has.
-    for (Delivery& d : batch) deliver(d.from, d.payload);
-    return;
-  }
-
-  // Requests are lifted out of the batch and handed to the batch handler
-  // in one call (so the server can batch-verify their signatures);
-  // responses and one-ways are processed inline, in arrival order, before
-  // the request group. Reordering a response ahead of a request from the
-  // same wakeup is harmless: they address independent state (pending rpc
-  // table vs server handlers).
+  // Responses and one-ways are processed inline, in arrival order. With a
+  // batch handler installed, requests are lifted out and handed to it in
+  // one call after the loop (so the server can batch-verify their
+  // signatures); reordering a response ahead of a request from the same
+  // wakeup is harmless, they address independent state (pending rpc table
+  // vs server handlers). Without one, each request is handled inline.
+  // Either way every response waits for the commit hook.
   std::vector<IncomingRequest> requests;
-  std::vector<std::uint64_t> rpc_ids;
+  std::vector<std::optional<std::pair<MsgType, Bytes>>> responses;
+  std::vector<std::pair<NodeId, std::uint64_t>> reply_to;  // index-aligned with responses
+  bool handled = false;  // a request or one-way ran: the batch has a commit point
   for (Delivery& d : batch) {
     auto parsed = parse_envelope(d.payload);
     if (!parsed.has_value()) continue;
     Parsed& msg = *parsed;
     switch (msg.kind) {
       case Kind::kRequest:
-        requests.push_back(
-            IncomingRequest{d.from, msg.type, std::move(msg.body), msg.trace});
-        rpc_ids.push_back(msg.rpc_id);
+        if (batch_request_handler_) {
+          requests.push_back(
+              IncomingRequest{d.from, msg.type, std::move(msg.body), msg.trace});
+        } else if (request_handler_) {
+          incoming_trace_ = msg.trace;
+          responses.push_back(request_handler_(d.from, msg.type, msg.body));
+          incoming_trace_ = obs::TraceContext{};
+        } else {
+          break;
+        }
+        reply_to.emplace_back(d.from, msg.rpc_id);
+        handled = true;
         break;
       case Kind::kResponse:
         handle_response(d.from, msg);
@@ -206,23 +178,28 @@ void RpcNode::deliver_batch(std::vector<Delivery>& batch) {
           incoming_trace_ = msg.trace;
           oneway_handler_(d.from, msg.type, msg.body);
           incoming_trace_ = obs::TraceContext{};
+          handled = true;
         }
         break;
     }
   }
-  if (requests.empty()) return;
+  // A batch of responses alone has nothing to commit, and its callbacks may
+  // have destroyed this node's owner: touch no member after them.
+  if (!handled) return;
+  if (!requests.empty()) responses = batch_request_handler_(requests);
 
-  auto responses = batch_request_handler_(requests);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  if (commit_hook_) commit_hook_();
+
+  for (std::size_t i = 0; i < reply_to.size(); ++i) {
     // A short result vector means "no response" for the tail — same
     // semantics as a nullopt entry.
     if (i >= responses.size() || !responses[i].has_value()) continue;
     Writer w;
     w.u8(static_cast<std::uint8_t>(Kind::kResponse));
-    w.u64(rpc_ids[i]);
+    w.u64(reply_to[i].second);
     w.u16(static_cast<std::uint16_t>(responses[i]->first));
     w.raw(responses[i]->second);
-    transport_.send(id_, requests[i].from, w.take());
+    transport_.send(id_, reply_to[i].first, w.take());
   }
 }
 

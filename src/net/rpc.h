@@ -98,6 +98,8 @@ class RpcNode {
       std::vector<IncomingRequest>& batch)>;
   /// One-way handler (gossip and other unsolicited messages).
   using OnewayHandler = std::function<void(NodeId from, MsgType type, BytesView body)>;
+  /// Commit point of a delivery batch (see set_commit_hook).
+  using CommitHook = std::function<void()>;
 
   RpcNode(Transport& transport, NodeId id);
   ~RpcNode();
@@ -111,13 +113,20 @@ class RpcNode {
 
   void set_request_handler(RequestHandler handler) { request_handler_ = std::move(handler); }
   /// When set, requests arriving in one transport delivery batch are handed
-  /// to this handler in a single call instead of one `RequestHandler` call
-  /// each. Responses and one-ways in the same batch are still processed
-  /// individually, in arrival order relative to the requests around them.
+  /// to this handler in a single call, after the batch's responses and
+  /// one-ways, instead of one `RequestHandler` call each in arrival order.
   void set_batch_request_handler(BatchRequestHandler handler) {
     batch_request_handler_ = std::move(handler);
   }
   void set_oneway_handler(OnewayHandler handler) { oneway_handler_ = std::move(handler); }
+  /// Runs once per delivered batch that carried a request or one-way,
+  /// after every request and one-way in it was handled and before the
+  /// batch's first response is sent. A durable
+  /// server commits its write-ahead log here, so one fsync covers the whole
+  /// batch and no ack leaves before what it acknowledges is on disk
+  /// (DESIGN.md §7). One-ways sent from inside handlers leave immediately:
+  /// they acknowledge nothing.
+  void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
   /// Sends a request; `on_response` fires at most once when the matching
   /// response arrives. Returns the rpc id (for cancel). A valid `trace`
@@ -165,11 +174,12 @@ class RpcNode {
     obs::TraceContext trace{};
   };
 
-  /// Envelope decode + trace sanitation shared by the single and batched
-  /// delivery paths. nullopt = malformed (already counted).
+  /// Envelope decode + trace sanitation. nullopt = malformed (already
+  /// counted).
   std::optional<Parsed> parse_envelope(BytesView payload);
 
-  void deliver(NodeId from, BytesView payload);
+  /// The one delivery funnel, for every transport (a transport without
+  /// native batching hands over batches of one).
   void deliver_batch(std::vector<Delivery>& batch);
   void handle_response(NodeId from, const Parsed& msg);
 
@@ -180,6 +190,7 @@ class RpcNode {
   RequestHandler request_handler_;
   BatchRequestHandler batch_request_handler_;
   OnewayHandler oneway_handler_;
+  CommitHook commit_hook_;
   obs::TraceContext incoming_trace_{};
   // Invisible-drop accounting (handles into transport().registry()).
   obs::Counter& expired_responses_;

@@ -55,8 +55,8 @@ struct ServerSample {
   std::uint64_t ring_version = 0;   // routing ring version (sharded)
   std::uint64_t gossip_ticks = 0;   // anti-entropy rounds since boot
   std::uint64_t gossip_idle_us = 0; // time since the last gossip tick
-  double wal_append_ewma_us = 0;    // admission's smoothed append cost
-  double wal_append_p99_us = 0;     // this server's local append p99
+  double wal_append_ewma_us = 0;    // admission's smoothed WAL commit cost
+  double wal_append_p99_us = 0;     // this server's local WAL commit p99
   std::uint64_t compaction_lag = 0; // storage engine pressure (LSM)
   std::uint64_t memtable_bytes = 0;
   std::uint64_t requests = 0;       // requests dispatched since boot
@@ -83,7 +83,7 @@ struct SloRules {
   std::uint32_t unhealthy_after = 2;     // consecutive bad rounds to mark
   std::uint32_t healthy_after = 2;       // consecutive good rounds to clear
   std::uint64_t gossip_stale_us = 2'000'000;
-  double wal_p99_us = 50'000;            // wall-clock append tail
+  double wal_p99_us = 50'000;            // wall-clock WAL commit tail
   std::uint64_t compaction_lag = 16;     // engine pressure units
   double shed_fraction = 0.05;           // shed/dispatched over one round
   std::uint64_t net_backlog = 256;       // queued inbound messages

@@ -85,6 +85,43 @@ Bytes segment_header(std::uint64_t first_lsn) {
   return w.take();
 }
 
+/// Walks one segment image: checks the header against `first_lsn`, then
+/// each frame's length, CRC and LSN order (`next_lsn` is the smallest
+/// acceptable LSN and advances past every valid frame — gaps are legal, a
+/// snapshot restore may reserve_through() ahead of a fresh WAL;
+/// regressions mean corruption). Every valid frame goes to
+/// `visit(lsn, type, payload)` as soon as it is checked. Returns the byte
+/// length of the valid prefix (0 = even the header is bad).
+template <typename Visit>
+std::size_t scan_segment(BytesView data, std::uint64_t first_lsn, std::uint64_t& next_lsn,
+                         Visit&& visit) {
+  Reader r(data);
+  try {
+    if (r.str() != kSegmentMagic) return 0;
+    if (r.u32() != kSegmentVersion) return 0;
+    if (r.u64() != first_lsn) return 0;
+  } catch (const DecodeError&) {
+    return 0;
+  }
+  std::size_t good = data.size() - r.remaining();
+  while (r.remaining() >= kFrameHeaderBytes) {
+    const std::uint32_t len = r.u32();
+    if (len < kFrameBodyMinBytes || len > kMaxFrameBody) break;
+    if (r.remaining() < 4 + static_cast<std::size_t>(len)) break;  // torn frame
+    const std::uint32_t crc = r.u32();
+    const BytesView body = r.view(len);
+    if (crc32(body) != crc) break;
+    Reader br(body);
+    const auto type = static_cast<WalEntryType>(br.u8());
+    const std::uint64_t lsn = br.u64();
+    if (lsn < next_lsn) break;
+    next_lsn = lsn + 1;
+    good = data.size() - r.remaining();
+    visit(lsn, type, body.subspan(kFrameBodyMinBytes));
+  }
+  return good;
+}
+
 }  // namespace
 
 void fsync_dir(const std::string& dir) {
@@ -94,10 +131,15 @@ void fsync_dir(const std::string& dir) {
   ::close(fd);
 }
 
-WriteAheadLog::WriteAheadLog(WalOptions options) : options_(std::move(options)) {
+WriteAheadLog::WriteAheadLog(WalOptions options) : WriteAheadLog(std::move(options), 0, {}) {}
+
+WriteAheadLog::WriteAheadLog(WalOptions options, std::uint64_t replay_after,
+                             const ReplayFn& replay)
+    : options_(std::move(options)) {
   if (options_.dir.empty()) throw std::runtime_error("wal: empty directory");
   std::filesystem::create_directories(options_.dir);
-  recover_existing();
+  recover_existing(replay_after, replay);
+  synced_lsn_ = last_lsn();
   if (segments_.empty()) {
     open_active(next_lsn_);
   } else {
@@ -110,15 +152,12 @@ WriteAheadLog::WriteAheadLog(WalOptions options) : options_(std::move(options)) 
 
 WriteAheadLog::~WriteAheadLog() {
   if (fd_ >= 0) {
-    if (dirty_ && options_.fsync != FsyncPolicy::kNever) {
-      ::fsync(fd_);
-      ++stats_.fsyncs;
-    }
+    sync();
     ::close(fd_);
   }
 }
 
-void WriteAheadLog::recover_existing() {
+void WriteAheadLog::recover_existing(std::uint64_t replay_after, const ReplayFn& replay) {
   std::vector<Segment> found;
   for (const auto& entry : std::filesystem::directory_iterator(options_.dir)) {
     if (!entry.is_regular_file()) continue;
@@ -141,7 +180,13 @@ void WriteAheadLog::recover_existing() {
       continue;
     }
     const Bytes data = read_file(segment.path);
-    const std::size_t good = scan_segment(segment.first_lsn, data);
+    const std::size_t good = scan_segment(
+        data, segment.first_lsn, next_lsn_,
+        [&](std::uint64_t lsn, WalEntryType type, BytesView payload) {
+          if (!replay || lsn <= replay_after) return;
+          ++stats_.replayed_entries;
+          replay(lsn, type, payload);
+        });
     if (good == 0) {
       // Header unreadable: the whole file is garbage.
       stats_.truncated_tail_bytes += data.size();
@@ -161,36 +206,6 @@ void WriteAheadLog::recover_existing() {
   if (corrupted) fsync_dir(options_.dir);
 }
 
-std::size_t WriteAheadLog::scan_segment(std::uint64_t expected_first_lsn, BytesView data) {
-  Reader r(data);
-  try {
-    if (r.str() != kSegmentMagic) return 0;
-    if (r.u32() != kSegmentVersion) return 0;
-    if (r.u64() != expected_first_lsn) return 0;
-  } catch (const DecodeError&) {
-    return 0;
-  }
-  std::size_t good = data.size() - r.remaining();
-  while (r.remaining() >= kFrameHeaderBytes) {
-    const std::uint32_t len = r.u32();
-    if (len < kFrameBodyMinBytes || len > kMaxFrameBody) break;
-    if (r.remaining() < 4 + static_cast<std::size_t>(len)) break;  // torn frame
-    const std::uint32_t crc = r.u32();
-    const Bytes body = r.raw(len);
-    if (crc32(body) != crc) break;
-    Reader br(body);
-    br.u8();  // entry type: interpreted by the replay consumer
-    const std::uint64_t lsn = br.u64();
-    // LSNs must be monotone across the whole log. Gaps are legal (a
-    // snapshot restore may reserve_through() ahead of a fresh WAL);
-    // regressions mean corruption.
-    if (lsn < next_lsn_) break;
-    next_lsn_ = lsn + 1;
-    good = data.size() - r.remaining();
-  }
-  return good;
-}
-
 std::uint64_t WriteAheadLog::append(WalEntryType type, BytesView payload) {
   Writer body;
   body.u8(static_cast<std::uint8_t>(type));
@@ -207,53 +222,37 @@ std::uint64_t WriteAheadLog::append(WalEntryType type, BytesView payload) {
   ++stats_.appends;
   stats_.bytes_appended += frame.data().size();
   const std::uint64_t lsn = next_lsn_++;
-
-  if (options_.fsync == FsyncPolicy::kAlways) {
-    ::fsync(fd_);
-    ++stats_.fsyncs;
-  } else {
-    dirty_ = true;
-  }
   if (active_size_ >= options_.segment_bytes) rotate();
   return lsn;
 }
 
 void WriteAheadLog::sync() {
-  if (!dirty_ || fd_ < 0 || options_.fsync == FsyncPolicy::kNever) return;
-  ::fsync(fd_);
-  ++stats_.fsyncs;
-  dirty_ = false;
+  if (!has_unsynced() || fd_ < 0) return;
+  if (options_.fsync == FsyncPolicy::kAlways) {
+    ::fsync(fd_);
+    ++stats_.fsyncs;
+  }
+  synced_lsn_ = last_lsn();
 }
 
 void WriteAheadLog::reserve_through(std::uint64_t lsn) {
-  if (next_lsn_ <= lsn) next_lsn_ = lsn + 1;
+  if (next_lsn_ > lsn) return;
+  // Nothing pending stays nothing pending: the skipped LSNs hold no frames.
+  const bool clean = !has_unsynced();
+  next_lsn_ = lsn + 1;
+  if (clean) synced_lsn_ = last_lsn();
 }
 
 void WriteAheadLog::replay(std::uint64_t after_lsn, const ReplayFn& fn) {
+  std::uint64_t next_lsn = 0;
   for (const Segment& segment : segments_) {
     const Bytes data = read_file(segment.path);
-    Reader r(data);
-    try {
-      r.str();
-      r.u32();
-      r.u64();
-    } catch (const DecodeError&) {
-      continue;  // recovery validated headers; an unreadable one is empty
-    }
-    while (r.remaining() >= kFrameHeaderBytes) {
-      const std::uint32_t len = r.u32();
-      if (len < kFrameBodyMinBytes || len > kMaxFrameBody) break;
-      if (r.remaining() < 4 + static_cast<std::size_t>(len)) break;
-      const std::uint32_t crc = r.u32();
-      const Bytes body = r.raw(len);
-      if (crc32(body) != crc) break;
-      Reader br(body);
-      const auto type = static_cast<WalEntryType>(br.u8());
-      const std::uint64_t lsn = br.u64();
-      if (lsn <= after_lsn) continue;
-      ++stats_.replayed_entries;
-      fn(lsn, type, BytesView(body.data() + kFrameBodyMinBytes, body.size() - kFrameBodyMinBytes));
-    }
+    scan_segment(data, segment.first_lsn, next_lsn,
+                 [&](std::uint64_t lsn, WalEntryType type, BytesView payload) {
+                   if (lsn <= after_lsn) return;
+                   ++stats_.replayed_entries;
+                   fn(lsn, type, payload);
+                 });
   }
 }
 
@@ -284,7 +283,6 @@ void WriteAheadLog::open_active(std::uint64_t first_lsn) {
   const Bytes header = segment_header(first_lsn);
   write_all(fd_, header);
   active_size_ = header.size();
-  dirty_ = false;
   if (options_.fsync != FsyncPolicy::kNever) {
     ::fsync(fd_);
     fsync_dir(options_.dir);
@@ -294,11 +292,7 @@ void WriteAheadLog::open_active(std::uint64_t first_lsn) {
 }
 
 void WriteAheadLog::rotate() {
-  if (dirty_ && options_.fsync != FsyncPolicy::kNever) {
-    ::fsync(fd_);
-    ++stats_.fsyncs;
-    dirty_ = false;
-  }
+  sync();  // a closed segment is complete on disk before its successor exists
   ::close(fd_);
   ++stats_.rotations;
   open_active(next_lsn_);

@@ -4,10 +4,14 @@
 // between two snapshots would vanish on a crash — silently shrinking the
 // b+1/2b+1 quorums honest clients relied on (§5.2–5.3). The WAL closes that
 // window: each accepted write/context is appended as a CRC-protected,
-// length-prefixed frame *before* the ack, and recovery replays
-// `snapshot + WAL tail` through the normal apply paths so every invariant
-// (ordering, equivocation flags, log bounds, causal holds) is
-// re-established rather than trusted from disk.
+// length-prefixed frame, the owner commits (`sync()`) before the ack, and
+// recovery replays `snapshot + WAL tail` through the normal apply paths so
+// every invariant (ordering, equivocation flags, log bounds, causal holds)
+// is re-established rather than trusted from disk.
+//
+// Group commit: `append` only writes the frame; `sync` is the one fsync of
+// appended frames, so an owner that appends a whole delivery batch and then
+// commits pays one fsync for all of it (DESIGN.md §7).
 //
 // On-disk layout (PROTOCOL.md §9): a directory of segment files named
 // `wal-<first-lsn, 16 hex digits>.log`. Each segment starts with a header
@@ -31,9 +35,8 @@
 namespace securestore::storage {
 
 enum class FsyncPolicy : std::uint8_t {
-  kAlways,    // fsync after every append: each acked write is durable
-  kInterval,  // group commit: the owner calls sync() on a timer
-  kNever,     // OS page cache only (survives process death, not power loss)
+  kAlways,  // sync() fsyncs: every frame a commit covers is durable
+  kNever,   // OS page cache only (survives process death, not power loss)
 };
 
 enum class WalEntryType : std::uint8_t {
@@ -60,34 +63,46 @@ struct WalOptions {
 
 class WriteAheadLog {
  public:
+  using ReplayFn =
+      std::function<void(std::uint64_t lsn, WalEntryType type, BytesView payload)>;
+
   /// Opens (creating the directory if needed), scans existing segments,
   /// truncates any torn/corrupt tail, and positions for append after the
   /// last valid entry. Throws std::runtime_error on I/O failure.
   explicit WriteAheadLog(WalOptions options);
+  /// Opens as above and, in the same pass that CRC-checks each frame,
+  /// replays every valid entry with lsn > `replay_after` through `replay`,
+  /// oldest first — a booting server reads its log once, not twice.
+  WriteAheadLog(WalOptions options, std::uint64_t replay_after, const ReplayFn& replay);
   ~WriteAheadLog();
 
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Appends one entry; under FsyncPolicy::kAlways it is durable on return.
-  /// Returns the entry's LSN (LSNs start at 1 and only grow).
+  /// Writes one entry's frame; it is durable only once a later sync()
+  /// returns. Returns the entry's LSN (LSNs start at 1 and only grow).
   std::uint64_t append(WalEntryType type, BytesView payload);
 
-  /// Makes all appended entries durable (group-commit tick). No-op under
-  /// kNever or when nothing is pending.
+  /// The commit point: one fsync makes every appended entry durable (under
+  /// kNever the entries are merely handed to the OS). No-op when nothing
+  /// is pending.
   void sync();
 
   /// The LSN of the newest entry ever appended (0 = empty log).
   std::uint64_t last_lsn() const { return next_lsn_ - 1; }
+  /// The newest LSN the last commit covers: every entry at or below it
+  /// survives a crash (under kAlways). Recovered entries count as synced.
+  std::uint64_t synced_lsn() const { return synced_lsn_; }
+  /// Whether appended entries await a sync().
+  bool has_unsynced() const { return synced_lsn_ < last_lsn(); }
 
   /// Guarantees future LSNs exceed `lsn` — called after a snapshot restore
   /// so appends against a fresh/behind WAL can never collide with LSNs the
   /// snapshot already covers.
   void reserve_through(std::uint64_t lsn);
 
-  using ReplayFn =
-      std::function<void(std::uint64_t lsn, WalEntryType type, BytesView payload)>;
-  /// Replays every entry with lsn > after_lsn, oldest first.
+  /// Re-reads the log from disk and replays every entry with
+  /// lsn > after_lsn, oldest first.
   void replay(std::uint64_t after_lsn, const ReplayFn& fn);
 
   /// Removes segments whose every entry has lsn <= `lsn` (i.e. is covered
@@ -105,11 +120,10 @@ class WriteAheadLog {
     std::string path;
   };
 
-  void recover_existing();
-  /// Validates one segment image; returns the byte length of the valid
-  /// prefix (0 = even the header is bad) and advances next_lsn_ past every
-  /// valid frame.
-  std::size_t scan_segment(std::uint64_t expected_first_lsn, BytesView data);
+  /// Scans every segment once: validates and truncates as the constructor
+  /// documents, handing each valid entry with lsn > replay_after to
+  /// `replay` (when set) as it is checked.
+  void recover_existing(std::uint64_t replay_after, const ReplayFn& replay);
   void open_active(std::uint64_t first_lsn);
   void rotate();
 
@@ -117,8 +131,8 @@ class WriteAheadLog {
   std::vector<Segment> segments_;  // ordered by first_lsn; back() is active
   int fd_ = -1;
   std::uint64_t next_lsn_ = 1;
+  std::uint64_t synced_lsn_ = 0;
   std::size_t active_size_ = 0;
-  bool dirty_ = false;  // appended-but-not-fsynced bytes pending
   WalStats stats_;
 };
 

@@ -106,7 +106,6 @@ std::unique_ptr<core::SecureStoreServer> Cluster::build_server(std::uint32_t ind
     durability.wal_dir = base + "/wal";
     durability.data_dir = base + "/lsm";
     durability.fsync = options_.fsync;
-    durability.flush_interval = options_.wal_flush_interval;
     durability.wal_segment_bytes = options_.wal_segment_bytes;
     server_options.durability = std::move(durability);
     // Recovery replays the WAL inside the constructor; it must already

@@ -50,7 +50,6 @@ struct ClusterOptions {
   /// instead of an in-memory snapshot.
   std::optional<std::string> durability_dir;
   storage::FsyncPolicy fsync = storage::FsyncPolicy::kAlways;
-  SimDuration wal_flush_interval = milliseconds(5);
   std::size_t wal_segment_bytes = 1u << 20;
   SimDuration snapshot_period = seconds(30);
 

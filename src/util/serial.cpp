@@ -72,6 +72,13 @@ Bytes Reader::raw(std::size_t n) {
   return out;
 }
 
+BytesView Reader::view(std::size_t n) {
+  need(n);
+  const BytesView out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 Bytes Reader::bytes() {
   const std::uint32_t n = u32();
   return raw(n);

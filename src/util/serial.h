@@ -55,6 +55,8 @@ class Reader {
   std::uint64_t u64();
   /// Reads exactly n raw bytes.
   Bytes raw(std::size_t n);
+  /// Reads exactly n raw bytes without copying; the view aliases the input.
+  BytesView view(std::size_t n);
   /// Reads a u32 length prefix then that many bytes.
   Bytes bytes();
   std::string str();

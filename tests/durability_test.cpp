@@ -11,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "core/client.h"
 #include "core/sync.h"
+#include "net/sim_transport.h"
 #include "faults/malicious_client.h"
 #include "storage/snapshot.h"
 #include "storage/wal/wal.h"
@@ -111,11 +113,15 @@ TEST(Wal, AppendReplayRoundtrip) {
     WriteAheadLog wal({dir.path, FsyncPolicy::kAlways, 1u << 20});
     std::uint64_t expected = 1;
     for (const auto& [type, payload] : written) {
-      EXPECT_EQ(wal.append(type, to_bytes(payload)), expected++);
+      const std::uint64_t lsn = wal.append(type, to_bytes(payload));
+      EXPECT_EQ(lsn, expected++);
+      EXPECT_EQ(wal.synced_lsn(), lsn - 1);  // appending does not commit
+      wal.sync();
+      EXPECT_EQ(wal.synced_lsn(), lsn);
     }
     EXPECT_EQ(wal.last_lsn(), written.size());
     EXPECT_EQ(wal.stats().appends, written.size());
-    EXPECT_GE(wal.stats().fsyncs, written.size());  // kAlways: one per append
+    EXPECT_GE(wal.stats().fsyncs, written.size());  // kAlways: one per commit
   }
 
   WriteAheadLog reopened({dir.path, FsyncPolicy::kAlways, 1u << 20});
@@ -238,6 +244,58 @@ TEST(Wal, ReserveThroughSkipsCoveredLsns) {
   std::size_t replayed = 0;
   reopened.replay(100, [&](std::uint64_t, WalEntryType, BytesView) { ++replayed; });
   EXPECT_EQ(replayed, 1u);
+}
+
+TEST(Wal, OneSyncCommitsEveryPendingAppend) {
+  TempDir dir;
+  WriteAheadLog wal({dir.path, FsyncPolicy::kAlways, 1u << 20});
+  const std::uint64_t fsyncs_at_open = wal.stats().fsyncs;  // segment + directory
+  EXPECT_FALSE(wal.has_unsynced());
+  for (int i = 1; i <= 5; ++i) wal.append(WalEntryType::kWrite, to_bytes(std::to_string(i)));
+  EXPECT_EQ(wal.stats().fsyncs, fsyncs_at_open);  // appends only write
+  EXPECT_TRUE(wal.has_unsynced());
+  EXPECT_EQ(wal.synced_lsn(), 0u);
+
+  wal.sync();  // the group commit: one fsync covers all five
+  EXPECT_EQ(wal.stats().fsyncs, fsyncs_at_open + 1);
+  EXPECT_EQ(wal.synced_lsn(), 5u);
+  EXPECT_FALSE(wal.has_unsynced());
+  wal.sync();  // nothing pending: no fsync
+  EXPECT_EQ(wal.stats().fsyncs, fsyncs_at_open + 1);
+
+  // Reserving ahead of a clean log leaves nothing to commit.
+  wal.reserve_through(100);
+  EXPECT_FALSE(wal.has_unsynced());
+  EXPECT_EQ(wal.append(WalEntryType::kWrite, to_bytes("next")), 101u);
+  EXPECT_EQ(wal.synced_lsn(), 100u);
+}
+
+TEST(Wal, OpenReplaysInTheValidatingPass) {
+  TempDir dir;
+  {
+    WriteAheadLog wal({dir.path, FsyncPolicy::kAlways, /*segment_bytes=*/128});
+    for (int i = 1; i <= 12; ++i) {
+      wal.append(WalEntryType::kWrite, to_bytes("entry " + std::to_string(i)));
+    }
+    ASSERT_GT(wal.segment_count(), 1u);
+  }
+  append_garbage(last_segment(dir.path), 7);
+
+  // One pass: open validates, truncates the torn tail and replays the
+  // entries past the cut-off as it checks them.
+  std::vector<std::string> seen;
+  WriteAheadLog recovered({dir.path, FsyncPolicy::kAlways, 128}, /*replay_after=*/9,
+                          [&](std::uint64_t lsn, WalEntryType type, BytesView payload) {
+                            EXPECT_EQ(type, WalEntryType::kWrite);
+                            EXPECT_EQ(to_string(payload), "entry " + std::to_string(lsn));
+                            seen.push_back(to_string(payload));
+                          });
+  EXPECT_EQ(seen, (std::vector<std::string>{"entry 10", "entry 11", "entry 12"}));
+  EXPECT_EQ(recovered.stats().replayed_entries, 3u);
+  EXPECT_EQ(recovered.stats().truncated_tail_bytes, 7u);
+  EXPECT_EQ(recovered.last_lsn(), 12u);
+  EXPECT_EQ(recovered.synced_lsn(), 12u);
+  EXPECT_EQ(recovered.append(WalEntryType::kWrite, to_bytes("after")), 13u);
 }
 
 // ---------------------------------------------------------------------------
@@ -451,32 +509,156 @@ TEST(CrashRecovery, SnapshotTruncatesWalSegments) {
   }
 }
 
-TEST(CrashRecovery, GroupCommitIntervalPolicyRecovers) {
+TEST(CrashRecovery, GroupCommitPerBatchRecovers) {
   TempDir dir;
   ClusterOptions options = durable_options(dir.path);
-  options.fsync = FsyncPolicy::kInterval;
-  options.wal_flush_interval = milliseconds(5);
+  // Jitter-free links: writes issued at one instant reach each server at
+  // one instant, so the simulator delivers them as one batch.
+  options.link = sim::LinkProfile{microseconds(200), 0, 0.0};
   Cluster cluster(options);
   cluster.set_group_policy(mrc_policy());
 
-  auto client = cluster.make_client(ClientId{1}, client_options(mrc_policy()));
-  SyncClient sync(*client, cluster.scheduler());
-  ASSERT_TRUE(sync.connect(kGroup).ok());
-  for (std::uint64_t i = 1; i <= 4; ++i) {
-    ASSERT_TRUE(sync.write(ItemId{i}, to_bytes("grouped " + std::to_string(i))).ok());
+  constexpr std::uint64_t kWriters = 8;
+  std::vector<std::unique_ptr<SecureStoreClient>> clients;
+  for (std::uint64_t c = 1; c <= kWriters; ++c) {
+    clients.push_back(cluster.make_client(ClientId{static_cast<std::uint32_t>(c)},
+                                          client_options(mrc_policy())));
+    SyncClient sync(*clients.back(), cluster.scheduler());
+    ASSERT_TRUE(sync.connect(kGroup).ok());
   }
-  cluster.run_for(seconds(2));  // several flush ticks pass
+  std::size_t acked = 0;
+  for (std::uint64_t c = 1; c <= kWriters; ++c) {
+    clients[c - 1]->write(ItemId{c}, to_bytes("grouped " + std::to_string(c)),
+                          [&acked](VoidResult r) { acked += r.ok() ? 1 : 0; });
+  }
+  cluster.run_for(seconds(2));  // writes, gossip pushes and anti-entropy
+  ASSERT_EQ(acked, kWriters);
 
-  ASSERT_NE(cluster.server(1).wal_stats(), nullptr);
-  const auto fsyncs = cluster.server(1).wal_stats()->fsyncs;
-  const auto appends = cluster.server(1).wal_stats()->appends;
-  EXPECT_GT(appends, 0u);
-  EXPECT_LT(fsyncs, appends + 2);  // group commit: far fewer fsyncs than appends
+  for (std::size_t s = 0; s < cluster.server_count(); ++s) {
+    ASSERT_NE(cluster.server(s).wal_stats(), nullptr);
+    const auto fsyncs = cluster.server(s).wal_stats()->fsyncs;
+    const auto appends = cluster.server(s).wal_stats()->appends;
+    EXPECT_EQ(appends, kWriters) << "server " << s;
+    EXPECT_LT(fsyncs, appends + 2) << "server " << s;  // group commit: fewer fsyncs than appends
+  }
 
   cluster.restart_server(1, /*restore_state=*/true);
-  for (std::uint64_t i = 1; i <= 4; ++i) {
+  for (std::uint64_t i = 1; i <= kWriters; ++i) {
     EXPECT_NE(cluster.server(1).store().current(ItemId{i}), nullptr) << "item " << i;
   }
+}
+
+/// Forwards everything to a SimTransport, and checks at every send that a
+/// server's kWrite or context-write (kAck) response never leaves before
+/// that server's WAL commit covers every entry appended so far — in
+/// particular the record or context the response acknowledges.
+class CommitCheckingTransport final : public net::Transport {
+ public:
+  explicit CommitCheckingTransport(net::SimTransport& inner) : inner_(inner) {}
+
+  std::vector<std::unique_ptr<SecureStoreServer>>* servers = nullptr;
+  std::size_t acks_checked = 0;
+  std::size_t acks_before_commit = 0;
+
+  void register_node(NodeId node, DeliverFn deliver) override {
+    inner_.register_node(node, std::move(deliver));
+  }
+  void register_node_batched(NodeId node, BatchDeliverFn deliver) override {
+    inner_.register_node_batched(node, std::move(deliver));
+  }
+  void unregister_node(NodeId node) override { inner_.unregister_node(node); }
+  void send(NodeId from, NodeId to, Bytes payload) override {
+    check(from, payload);
+    inner_.send(from, to, std::move(payload));
+  }
+  SimTime now() const override { return inner_.now(); }
+  void schedule(SimDuration delay, std::function<void()> callback) override {
+    inner_.schedule(delay, std::move(callback));
+  }
+  const sim::TransportStats& stats() const override { return inner_.stats(); }
+  void reset_stats() override { inner_.reset_stats(); }
+  obs::Registry& registry() override { return inner_.registry(); }
+  obs::EventLog& events() override { return inner_.events(); }
+
+ private:
+  void check(NodeId from, BytesView payload) {
+    if (servers == nullptr || from.value >= servers->size()) return;
+    Reader r(payload);
+    if (r.u8() != 1) return;  // not a response (responses carry no trace flag)
+    r.u64();                  // rpc id
+    const auto type = static_cast<net::MsgType>(r.u16());
+    if (type != net::MsgType::kWrite && type != net::MsgType::kAck) return;
+    const storage::WriteAheadLog* wal = (*servers)[from.value]->wal();
+    ++acks_checked;
+    if (wal->synced_lsn() < wal->last_lsn()) ++acks_before_commit;
+  }
+
+  net::SimTransport& inner_;
+};
+
+TEST(CrashRecovery, NoWriteAckLeavesBeforeItsCommit) {
+  TempDir dir;
+  sim::Scheduler scheduler;
+  net::SimTransport sim_transport(scheduler, sim::NetworkModel(Rng(7), sim::lan_profile()));
+  CommitCheckingTransport transport(sim_transport);
+
+  core::StoreConfig config;
+  Rng rng(8);
+  std::vector<crypto::KeyPair> client_pairs;
+  for (std::uint32_t c = 1; c <= 3; ++c) {
+    client_pairs.push_back(crypto::KeyPair::generate(rng));
+    config.client_keys[c] = client_pairs.back().public_key;
+  }
+  std::vector<crypto::KeyPair> server_pairs;
+  for (std::uint32_t i = 0; i < config.n; ++i) {
+    config.servers.push_back(NodeId{i});
+    server_pairs.push_back(crypto::KeyPair::generate(rng));
+    config.server_keys[NodeId{i}] = server_pairs.back().public_key;
+  }
+  std::vector<std::unique_ptr<SecureStoreServer>> servers;
+  for (std::uint32_t i = 0; i < config.n; ++i) {
+    SecureStoreServer::Options options;
+    options.gossip.period = milliseconds(50);
+    SecureStoreServer::DurabilityOptions durability;
+    durability.wal_dir = dir.path + "/wal-" + std::to_string(i);
+    durability.fsync = FsyncPolicy::kAlways;
+    options.durability = durability;
+    options.group_policies = {mrc_policy()};
+    servers.push_back(std::make_unique<SecureStoreServer>(transport, NodeId{i}, config,
+                                                          server_pairs[i], options, rng.fork()));
+  }
+  transport.servers = &servers;
+
+  // Concurrent writers (so batches carry several writes), each ending with
+  // a context write (disconnect), while gossip applies records in between.
+  std::vector<std::unique_ptr<SecureStoreClient>> clients;
+  for (std::uint32_t c = 1; c <= 3; ++c) {
+    clients.push_back(std::make_unique<SecureStoreClient>(
+        transport, NodeId{1000 + c}, ClientId{c}, client_pairs[c - 1], config,
+        client_options(mrc_policy()), Rng(c)));
+    SyncClient sync(*clients.back(), scheduler);
+    ASSERT_TRUE(sync.connect(kGroup).ok());
+  }
+  for (std::uint64_t round = 0; round < 5; ++round) {
+    std::size_t acked = 0;
+    for (std::uint32_t c = 1; c <= 3; ++c) {
+      clients[c - 1]->write(ItemId{c * 100 + round}, to_bytes("v" + std::to_string(round)),
+                            [&acked](VoidResult r) { acked += r.ok() ? 1 : 0; });
+    }
+    scheduler.run_until(scheduler.now() + milliseconds(100));
+    ASSERT_EQ(acked, 3u) << "round " << round;
+  }
+  for (auto& client : clients) {
+    SyncClient sync(*client, scheduler);
+    ASSERT_TRUE(sync.disconnect().ok());
+  }
+
+  EXPECT_GE(transport.acks_checked, 3u * 5u * config.data_quorum_honest());
+  EXPECT_EQ(transport.acks_before_commit, 0u);
+  std::uint64_t appends = 0;
+  for (const auto& server : servers) appends += server->wal_stats()->appends;
+  EXPECT_GT(appends, 0u);
+  transport.servers = nullptr;
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/fault_transport.h"
 #include "net/quorum.h"
@@ -285,6 +287,112 @@ TEST(Rpc, ShortBatchResultLeavesTailSilent) {
   }
   h.scheduler.run_until_idle();
   EXPECT_EQ(replies, 1);
+}
+
+/// Transport double with native batching, driven by hand: the test hands a
+/// node a batch of raw envelopes, and every send lands in the shared event
+/// log instead of being delivered — so a log shows exactly where responses
+/// leave relative to handlers and the commit hook.
+class ManualBatchTransport final : public Transport {
+ public:
+  explicit ManualBatchTransport(std::vector<std::string>& log) : log_(log) {}
+  void register_node(NodeId, DeliverFn) override {}
+  void register_node_batched(NodeId node, BatchDeliverFn deliver) override {
+    handlers_[node] = std::move(deliver);
+  }
+  void unregister_node(NodeId node) override { handlers_.erase(node); }
+  void send(NodeId, NodeId, Bytes) override { log_.push_back("send"); }
+  SimTime now() const override { return 0; }
+  void schedule(SimDuration, std::function<void()>) override {}
+  const sim::TransportStats& stats() const override { return stats_; }
+  void reset_stats() override {}
+
+  void deliver(NodeId to, std::vector<Delivery> batch) { handlers_.at(to)(batch); }
+
+ private:
+  std::vector<std::string>& log_;
+  std::unordered_map<NodeId, BatchDeliverFn> handlers_;
+  sim::TransportStats stats_;
+};
+
+Delivery request_envelope(NodeId from, std::uint64_t rpc_id) {
+  Writer w;
+  w.u8(0);  // Kind::kRequest
+  w.u64(rpc_id);
+  w.u16(static_cast<std::uint16_t>(MsgType::kWrite));
+  return Delivery{from, w.take()};
+}
+
+Delivery oneway_envelope(NodeId from) {
+  Writer w;
+  w.u8(2);  // Kind::kOneway
+  w.u64(0);
+  w.u16(static_cast<std::uint16_t>(MsgType::kGossipUpdates));
+  return Delivery{from, w.take()};
+}
+
+TEST(Rpc, CommitHookRunsOncePerBatchAfterHandlersBeforeResponses) {
+  // Both request-handler styles: every handler of the batch runs, then the
+  // commit hook exactly once, then the responses leave.
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batch handler" : "per-message handler");
+    std::vector<std::string> log;
+    ManualBatchTransport transport(log);
+    RpcNode server(transport, NodeId{0});
+    const auto answer = std::make_optional(std::make_pair(MsgType::kWrite, Bytes{}));
+    if (batched) {
+      server.set_batch_request_handler([&](std::vector<IncomingRequest>& batch) {
+        std::vector<std::optional<std::pair<MsgType, Bytes>>> out;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          log.push_back("request");
+          out.push_back(answer);
+        }
+        return out;
+      });
+    } else {
+      server.set_request_handler([&](NodeId, MsgType, BytesView) {
+        log.push_back("request");
+        return answer;
+      });
+    }
+    server.set_oneway_handler([&](NodeId, MsgType, BytesView) { log.push_back("oneway"); });
+    server.set_commit_hook([&] { log.push_back("commit"); });
+
+    transport.deliver(NodeId{0}, {request_envelope(NodeId{1}, 7), oneway_envelope(NodeId{2}),
+                                  request_envelope(NodeId{3}, 8), oneway_envelope(NodeId{2})});
+    std::vector<std::string> expected =
+        batched ? std::vector<std::string>{"oneway", "oneway", "request", "request"}
+                : std::vector<std::string>{"request", "oneway", "request", "oneway"};
+    expected.insert(expected.end(), {"commit", "send", "send"});
+    EXPECT_EQ(log, expected);
+
+    // A batch of one-ways alone still reaches the commit point once.
+    log.clear();
+    transport.deliver(NodeId{0}, {oneway_envelope(NodeId{2}), oneway_envelope(NodeId{3})});
+    EXPECT_EQ(log, (std::vector<std::string>{"oneway", "oneway", "commit"}));
+  }
+}
+
+TEST(Rpc, CommitHookRunsPerMessageOnTheBatchOfOneAdapter) {
+  // InlineTransport has no native batching: each message is a batch of one
+  // through Transport's adapter, and delivers inline — so the client's
+  // response callback runs at the very moment the server sends.
+  InlineTransport transport;
+  RpcNode server(transport, NodeId{0});
+  RpcNode client(transport, NodeId{1});
+  std::vector<std::string> log;
+  server.set_batch_request_handler([&](std::vector<IncomingRequest>& batch) {
+    log.push_back("request");
+    return std::vector<std::optional<std::pair<MsgType, Bytes>>>(
+        batch.size(), std::make_pair(MsgType::kAck, Bytes{}));
+  });
+  server.set_oneway_handler([&](NodeId, MsgType, BytesView) { log.push_back("oneway"); });
+  server.set_commit_hook([&] { log.push_back("commit"); });
+
+  client.send_request(NodeId{0}, MsgType::kWrite, Bytes{},
+                      [&](NodeId, MsgType, BytesView) { log.push_back("response"); });
+  client.send_oneway(NodeId{0}, MsgType::kGossipUpdates, Bytes{});
+  EXPECT_EQ(log, (std::vector<std::string>{"request", "commit", "response", "oneway", "commit"}));
 }
 
 TEST(Rpc, MalformedDatagramIgnored) {

@@ -18,9 +18,13 @@
 // `net_backlog_low = 0`, latches admission permanently (the calm check
 // requires every signal strictly below its low watermark).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -140,19 +144,19 @@ TEST(Admission, AnySignalLatchesAllSignalsMustCalm) {
   AdmissionController admission(options);
 
   // The WAL alone trips the latch.
-  admission.note_wal_append(2000);
+  admission.note_wal_commit(2000);
   AdmissionSignals signals;
   signals.net_backlog = 0;
   signals.wal_append_ewma_us = admission.wal_append_ewma_us();
   EXPECT_TRUE(admission.should_shed(signals));
 
   // Network calm but WAL still above its low: stay latched.
-  admission.note_wal_append(500);
+  admission.note_wal_commit(500);
   signals.wal_append_ewma_us = admission.wal_append_ewma_us();
   EXPECT_TRUE(admission.should_shed(signals));
 
   // Every signal below its low watermark: release.
-  admission.note_wal_append(50);
+  admission.note_wal_commit(50);
   signals.wal_append_ewma_us = admission.wal_append_ewma_us();
   EXPECT_FALSE(admission.should_shed(signals));
 }
@@ -358,6 +362,74 @@ TEST(Overload, BreakerTripsAndServerRejoinsAfterCooldown) {
     EXPECT_FALSE(client->breaker_open(cluster.server_node(s)))
         << "server " << s << " still circuit-broken after recovery";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Regression 2b: admission sees the disk through the WAL commit. Appends
+// only write; the fsync runs once per delivery batch, so a slow disk shows
+// in commit latency — which is what the EWMA must follow to shed.
+// ---------------------------------------------------------------------------
+
+TEST(Overload, SlowDiskCommitLatencyDrivesAdmission) {
+  std::string dir = (std::filesystem::temp_directory_path() / "securestore_ovl_XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  {
+    ClusterOptions options;
+    options.durability_dir = dir;
+    // Every write is pushed to every peer, so the slow-disk server commits
+    // (and stalls) once per write whichever servers the client picks.
+    options.gossip.push_on_write = true;
+    options.gossip.fanout = 3;
+    options.server_faults = {{3, {faults::ServerFault::kSlowDisk}}};
+    options.admission.wal_append_high_us = 10'000;
+    options.admission.wal_append_low_us = 2'000;
+    Cluster cluster(options);
+    cluster.set_group_policy(single_writer_policy());
+
+    core::SecureStoreClient::Options client_opts;
+    client_opts.policy = single_writer_policy();
+    auto client = cluster.make_client(ClientId{1}, client_opts);
+    SyncClient sync(*client, cluster.scheduler());
+    ASSERT_TRUE(sync.connect(GroupId{1}).ok());
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      ASSERT_TRUE(sync.write(ItemId{200 + i}, to_bytes("w" + std::to_string(i))).ok());
+    }
+    cluster.run_for(milliseconds(500));
+
+    // The stalled commits pull the slow server's EWMA toward the stall:
+    // after k commits it sits at stall·(1 − 0.9^k), past 10 ms from k = 7.
+    const core::AdmissionController& slow = cluster.server(3).admission();
+    const double stall_us = std::chrono::microseconds(faults::kSlowDiskStall).count();
+    EXPECT_GE(slow.wal_append_ewma_us(), options.admission.wal_append_high_us);
+    EXPECT_LE(slow.wal_append_ewma_us(), 2 * stall_us);
+    // The introspection field keeps its wire name and carries the commit
+    // EWMA; its p99 is the commit tail.
+    const obs::ServerSample sample = cluster.server(3).introspect_status();
+    EXPECT_EQ(sample.wal_append_ewma_us, slow.wal_append_ewma_us());
+    EXPECT_GE(sample.wal_append_p99_us, stall_us);
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_LT(cluster.server(s).admission().wal_append_ewma_us(),
+                slow.wal_append_ewma_us() / 2)
+          << "healthy server " << s;
+    }
+
+    // And admission acts on it: a client request to the slow server is
+    // refused while the healthy ones answer.
+    net::RpcNode probe(cluster.endpoint_transport(), NodeId{4999});
+    std::vector<std::optional<net::MsgType>> replies(cluster.server_count());
+    for (std::size_t s = 0; s < cluster.server_count(); ++s) {
+      probe.send_request(cluster.server_node(s), net::MsgType::kMetaRequest, probe_body(),
+                         [&replies, s](NodeId, net::MsgType type, BytesView) {
+                           replies[s] = type;
+                         });
+    }
+    cluster.run_for(milliseconds(100));
+    EXPECT_EQ(replies[3], net::MsgType::kOverloaded);
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(replies[s], net::MsgType::kMetaRequest) << "server " << s;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

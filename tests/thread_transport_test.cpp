@@ -3,7 +3,12 @@
 // thread through promises.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <future>
+#include <optional>
+#include <string>
 
 #include "core/client.h"
 #include "core/server.h"
@@ -26,17 +31,26 @@ GroupPolicy mrc_policy() {
                      core::ClientTrust::kHonest};
 }
 
+/// How a LiveDeployment is built; the defaults are fast LAN-ish links,
+/// gossip on, no durability.
+struct LiveSetup {
+  sim::LinkProfile link{microseconds(200), microseconds(100), 0};
+  bool gossip = true;
+  /// Durable servers: server i keeps its WAL under `<wal_root>/wal-<i>`.
+  std::optional<std::string> wal_root;
+};
+
 /// Real-time deployment harness: n servers + key directory over a
-/// ThreadTransport with fast LAN-ish latencies.
+/// ThreadTransport.
 struct LiveDeployment {
   net::ThreadTransport transport;
   core::StoreConfig config;
   std::vector<crypto::KeyPair> client_pairs;
   std::vector<std::unique_ptr<SecureStoreServer>> servers;
 
-  explicit LiveDeployment(std::uint32_t n, std::uint32_t b, std::uint64_t seed = 1)
-      : transport(sim::NetworkModel(Rng(seed),
-                                    sim::LinkProfile{microseconds(200), microseconds(100), 0})) {
+  explicit LiveDeployment(std::uint32_t n, std::uint32_t b, std::uint64_t seed = 1,
+                          const LiveSetup& setup = {})
+      : transport(sim::NetworkModel(Rng(seed), setup.link)) {
     config.n = n;
     config.b = b;
     Rng rng(seed + 1);
@@ -53,6 +67,13 @@ struct LiveDeployment {
     for (std::uint32_t i = 0; i < n; ++i) {
       SecureStoreServer::Options options;
       options.gossip.period = milliseconds(20);
+      options.start_gossip = setup.gossip;
+      options.gossip.push_on_write = setup.gossip;
+      if (setup.wal_root.has_value()) {
+        SecureStoreServer::DurabilityOptions durability;
+        durability.wal_dir = *setup.wal_root + "/wal-" + std::to_string(i);
+        options.durability = durability;
+      }
       servers.push_back(std::make_unique<SecureStoreServer>(
           transport, NodeId{i}, config, server_pairs[i], options, rng.fork()));
       servers.back()->set_group_policy(mrc_policy());
@@ -179,6 +200,79 @@ TEST(ThreadTransport, ConcurrentClientsDoNotInterfere) {
   ASSERT_TRUE(bob_view.ok());
   EXPECT_EQ(to_string(alice_view->value), "alice data");
   EXPECT_EQ(to_string(bob_view->value), "bob data");
+}
+
+/// Runs `fn` on the dispatch thread and waits for it: protocol objects
+/// (WAL stats included) are only touched there.
+template <typename Fn>
+auto on_dispatch(net::Transport& transport, Fn fn) {
+  using R = decltype(fn());
+  auto promise = std::make_shared<std::promise<R>>();
+  auto future = promise->get_future();
+  transport.schedule(0, [fn, promise] { promise->set_value(fn()); });
+  return future.get();
+}
+
+TEST(ThreadTransport, WritesDrainedInOneWakeupCostOneFsyncPerServer) {
+  std::string dir = (std::filesystem::temp_directory_path() / "securestore_gc_XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  {
+    // Zero-latency links put a send straight into the destination's ring,
+    // so writes issued from one dispatch job are all pending when each
+    // server's drain runs. No gossip: client writes are the only appends.
+    LiveSetup setup;
+    setup.link = sim::LinkProfile{0, 0, 0};
+    setup.gossip = false;
+    setup.wal_root = dir;
+    LiveDeployment d(4, 1, /*seed=*/5, setup);
+    std::vector<std::unique_ptr<SecureStoreClient>> clients;
+    for (std::uint32_t c = 1; c <= 4; ++c) {
+      clients.push_back(d.make_client(ClientId{c}));
+      SecureStoreClient* client = clients.back().get();
+      ASSERT_TRUE(wait_void(d.transport, [client](auto done) {
+                    client->connect(kGroup, std::move(done));
+                  }).ok());
+    }
+    using Counts = std::vector<std::pair<std::uint64_t, std::uint64_t>>;  // appends, fsyncs
+    const auto wal_counts = [&d] {
+      return on_dispatch(d.transport, [&d] {
+        Counts counts;
+        for (const auto& server : d.servers) {
+          counts.emplace_back(server->wal_stats()->appends, server->wal_stats()->fsyncs);
+        }
+        return counts;
+      });
+    };
+    const Counts before = wal_counts();
+
+    auto all_acked = std::make_shared<std::promise<int>>();
+    auto acked_future = all_acked->get_future();
+    d.transport.schedule(0, [&clients, all_acked] {
+      auto acked = std::make_shared<int>(0);
+      for (std::uint32_t c = 1; c <= clients.size(); ++c) {
+        clients[c - 1]->write(ItemId{c}, to_bytes("burst"),
+                              [acked, all_acked](VoidResult r) {
+                                *acked += r.ok() ? 1 : 0;
+                                if (*acked == 4) all_acked->set_value(*acked);
+                              });
+      }
+    });
+    ASSERT_EQ(acked_future.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    const Counts after = wal_counts();
+
+    std::uint64_t total_appends = 0;
+    std::uint64_t widest_batch = 0;
+    for (std::size_t s = 0; s < after.size(); ++s) {
+      const std::uint64_t appends = after[s].first - before[s].first;
+      const std::uint64_t fsyncs = after[s].second - before[s].second;
+      total_appends += appends;
+      widest_batch = std::max(widest_batch, appends);
+      EXPECT_EQ(fsyncs, appends > 0 ? 1u : 0u) << "server " << s << ", " << appends << " appends";
+    }
+    EXPECT_GE(total_appends, 4u * d.config.data_quorum_honest());
+    EXPECT_GE(widest_batch, 2u);  // some server committed several writes at once
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ThreadTransport, NowAdvancesWithWallClock) {

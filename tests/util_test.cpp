@@ -53,6 +53,38 @@ TEST(Crc32, DetectsSingleBitFlip) {
   }
 }
 
+/// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+/// table-driven implementation must match byte for byte.
+std::uint32_t reference_crc32(BytesView data, std::uint32_t seed) {
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAcrossLengthsAlignmentsAndSeeds) {
+  EXPECT_EQ(reference_crc32(to_bytes("123456789"), 0), 0xCBF43926u);
+  Rng rng(0xC0C32);
+  Bytes buffer(600);
+  rng.fill(buffer);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Random length (0..520, so short tails and many 8-byte strides both
+    // occur), random start offset (every alignment), random chained seed.
+    const std::size_t length = static_cast<std::size_t>(rng.next_below(521));
+    const std::size_t offset = static_cast<std::size_t>(rng.next_below(buffer.size() - length + 1));
+    const BytesView slice(buffer.data() + offset, length);
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    ASSERT_EQ(crc32(slice, seed), reference_crc32(slice, seed))
+        << "length " << length << " offset " << offset << " seed " << seed;
+    // Chaining at a random split point agrees with the one-shot checksum.
+    const std::size_t split = static_cast<std::size_t>(rng.next_below(length + 1));
+    ASSERT_EQ(crc32(slice.subspan(split), crc32(slice.subspan(0, split), seed)),
+              reference_crc32(slice, seed));
+  }
+}
+
 TEST(Bytes, TextRoundtrip) {
   EXPECT_EQ(to_string(to_bytes("hello")), "hello");
   EXPECT_TRUE(to_bytes("").empty());
