@@ -1,6 +1,6 @@
 #include "gossip/gossip.h"
 
-#include <algorithm>
+#include <unordered_map>
 
 #include "obs/trace.h"
 #include "util/serial.h"
@@ -137,21 +137,19 @@ void GossipEngine::handle(NodeId from, net::MsgType type, BytesView body) {
         const std::vector<DigestEntry> remote = decode_digest(body);
 
         // Push: records where we are ahead of (or unknown to) the digest.
-        std::vector<core::WriteRecord> to_send;
-        std::vector<ItemId> remote_items;
-        remote_items.reserve(remote.size());
-        for (const DigestEntry& entry : remote) remote_items.push_back(entry.item);
+        // A duplicated item keeps its first digest entry.
+        std::unordered_map<ItemId, const core::Timestamp*> remote_ts;
+        remote_ts.reserve(remote.size());
+        for (const DigestEntry& entry : remote) remote_ts.try_emplace(entry.item, &entry.ts);
 
         // Decide from the metadata index which items the peer is behind on;
         // only those get materialized (and copied before the next engine
         // call — see the StorageEngine::current pointer contract).
+        std::vector<core::WriteRecord> to_send;
         for (const storage::CurrentEntry& entry : store_.current_index()) {
           if (entry.flags & core::kScattered) continue;
-          const auto it = std::find(remote_items.begin(), remote_items.end(), entry.item);
-          if (it != remote_items.end()) {
-            const auto& remote_ts = remote[static_cast<std::size_t>(it - remote_items.begin())].ts;
-            if (!(remote_ts < entry.ts)) continue;
-          }
+          const auto it = remote_ts.find(entry.item);
+          if (it != remote_ts.end() && !(*it->second < entry.ts)) continue;
           if (const core::WriteRecord* record = store_.current(entry.item)) {
             to_send.push_back(*record);
           }

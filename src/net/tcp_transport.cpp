@@ -105,10 +105,7 @@ void TcpTransport::Socket::shut() { ::shutdown(fd, SHUT_RDWR); }
 TcpTransport::TcpTransport(std::uint16_t listen_port, std::map<NodeId, TcpEndpoint> directory,
                            std::shared_ptr<obs::Registry> registry,
                            std::shared_ptr<obs::EventLog> events)
-    : directory_(std::move(directory)),
-      registry_(registry != nullptr ? std::move(registry)
-                                    : std::make_shared<obs::Registry>()),
-      events_(events != nullptr ? std::move(events) : std::make_shared<obs::EventLog>()) {
+    : directory_(std::move(directory)), executor_(std::move(registry), std::move(events)) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket() failed");
   const int one = 1;
@@ -129,46 +126,30 @@ TcpTransport::TcpTransport(std::uint16_t listen_port, std::map<NodeId, TcpEndpoi
     ::close(listen_fd_);
     throw std::runtime_error("TcpTransport: listen() failed");
   }
-
-  // Last: a throw above must not leave a collector pointing at a dead
-  // transport inside an injected (longer-lived) registry.
-  collector_id_ = registry_->add_collector([this](obs::Registry& r) {
-    fold_transport_stats(r, stats());
-    // The high-watermark is a per-snapshot signal: reset after folding so
-    // successive snapshots show the pressure ramp, not one all-time peak.
-    ring_highwater_.store(0, std::memory_order_relaxed);
-  });
-
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
   acceptor_ = std::thread([this] { accept_loop(); });
 }
 
-TcpTransport::~TcpTransport() {
-  stop();
-  registry_->remove_collector(collector_id_);
-}
+TcpTransport::~TcpTransport() { stop(); }
 
 void TcpTransport::stop() {
-  {
-    std::lock_guard lock(jobs_mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  jobs_cv_.notify_all();
-  // Shut the listener down; accept() returns and the acceptor exits.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
+  // No handler runs once the executor has stopped; frames still arriving
+  // find their ring closed and are counted dropped.
+  executor_.stop();
 
   // Collect every connection, barring new ones, then close them all:
   // writers wake up and exit, readers are unblocked via socket shutdown.
   std::vector<std::shared_ptr<Conn>> conns;
   {
     std::lock_guard lock(directory_mutex_);
+    if (closed_for_send_) return;
     closed_for_send_ = true;
     for (auto& [endpoint, conn] : outbound_) conns.push_back(conn);
     outbound_.clear();
     learned_.clear();
   }
+  // Shut the listener down; accept() returns and the acceptor exits.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  ::close(listen_fd_);
   {
     std::lock_guard lock(readers_mutex_);
     accepting_ = false;
@@ -199,27 +180,6 @@ void TcpTransport::stop() {
   for (std::thread& reader : to_join) {
     if (reader.joinable()) reader.join();
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
-
-  // Every delivery that made it into a ring but never reached its handler
-  // is accounted here; sends racing this shutdown observe the closed ring
-  // and count their own drop. Either way, nothing vanishes silently.
-  std::vector<std::shared_ptr<Endpoint>> endpoints;
-  {
-    std::lock_guard lock(handlers_mutex_);
-    for (auto& [node, endpoint] : endpoints_) endpoints.push_back(endpoint);
-  }
-  std::uint64_t undelivered = 0;
-  std::vector<Delivery> rest;
-  for (const auto& endpoint : endpoints) {
-    endpoint->ring.close();
-    rest.clear();
-    while (endpoint->ring.drain(rest, kMaxDeliveryBatch) != 0) {
-      undelivered += rest.size();
-      rest.clear();
-    }
-  }
-  if (undelivered != 0) count_dropped(undelivered);
 }
 
 void TcpTransport::set_endpoint(NodeId node, TcpEndpoint endpoint) {
@@ -227,146 +187,9 @@ void TcpTransport::set_endpoint(NodeId node, TcpEndpoint endpoint) {
   directory_[node] = std::move(endpoint);
 }
 
-void TcpTransport::register_node(NodeId node, DeliverFn deliver) {
-  register_node_batched(node, [fn = std::move(deliver)](std::vector<Delivery>& batch) {
-    for (Delivery& d : batch) fn(d.from, d.payload);
-  });
-}
-
-void TcpTransport::register_node_batched(NodeId node, BatchDeliverFn deliver) {
-  std::lock_guard lock(handlers_mutex_);
-  auto& endpoint = endpoints_[node];
-  if (endpoint == nullptr) endpoint = std::make_shared<Endpoint>();
-  endpoint->deliver = std::move(deliver);
-  endpoint->registered = true;
-}
-
-void TcpTransport::unregister_node(NodeId node) {
-  // Tombstone, not erase: in-flight ring entries still get drained — and
-  // counted dropped — by the pending drain job or by stop().
-  std::lock_guard lock(handlers_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  it->second->registered = false;
-  it->second->deliver = nullptr;
-}
-
-std::shared_ptr<TcpTransport::Endpoint> TcpTransport::find_endpoint(NodeId node) {
-  std::lock_guard lock(handlers_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end() || !it->second->registered) return nullptr;
-  return it->second;
-}
-
-SimTime TcpTransport::now() const {
-  return static_cast<SimTime>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start_).count());
-}
-
-const sim::TransportStats& TcpTransport::stats() const {
-  // Counters are bumped from writer/reader threads under jobs_mutex_; hand
-  // callers a snapshot taken under the same lock so reads are race-free.
-  // The ring high-watermark lives in its own atomic (the successful-push
-  // path must not take the mutex) and is folded in here.
-  std::lock_guard lock(jobs_mutex_);
-  snapshot_ = stats_;
-  snapshot_.ring_occupancy_highwater = ring_highwater_.load(std::memory_order_relaxed);
-  return snapshot_;
-}
-
-void TcpTransport::reset_stats() {
-  std::lock_guard lock(jobs_mutex_);
-  stats_.reset();
-  ring_highwater_.store(0, std::memory_order_relaxed);
-}
-
-std::size_t TcpTransport::backlog(NodeId node) const {
-  std::lock_guard lock(handlers_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end() || !it->second->registered) return 0;
-  return it->second->ring.size();
-}
-
-void TcpTransport::count_dropped(std::uint64_t n) {
-  std::lock_guard lock(jobs_mutex_);
-  stats_.messages_dropped += n;
-}
-
-bool TcpTransport::enqueue(Clock::time_point at, std::function<void()> run) {
-  {
-    std::lock_guard lock(jobs_mutex_);
-    if (stopping_) return false;
-    jobs_.push(Job{at, next_sequence_++, std::move(run)});
-  }
-  jobs_cv_.notify_all();
-  return true;
-}
-
-void TcpTransport::schedule(SimDuration delay, std::function<void()> callback) {
-  (void)enqueue(Clock::now() + std::chrono::microseconds(delay), std::move(callback));
-}
-
-void TcpTransport::deliver_local(NodeId from, NodeId to, Bytes payload) {
-  const std::shared_ptr<Endpoint> endpoint = find_endpoint(to);
-  if (endpoint == nullptr) {
-    count_dropped(1);
-    return;
-  }
-  const DeliveryRing::PushResult pushed =
-      endpoint->ring.try_push(Delivery{from, std::move(payload)});
-  if (pushed != DeliveryRing::PushResult::kOk) {
-    // Ring full (consumer behind) or closed (stop() ran): the message is
-    // gone, but never silently — this is the counter the old
-    // enqueue-during-stop path forgot to bump.
-    std::lock_guard lock(jobs_mutex_);
-    ++stats_.messages_dropped;
-    if (pushed == DeliveryRing::PushResult::kFull) ++stats_.ring_full_drops;
-    return;
-  }
-  detail_record_highwater(ring_highwater_, endpoint->ring.size());
-  // One dispatcher wake per burst: only the push that found the ring idle
-  // schedules a drain. During stop the job is refused and the ring remnant
-  // is accounted by stop() itself.
-  if (!endpoint->drain_pending.exchange(true, std::memory_order_acq_rel)) {
-    (void)enqueue(Clock::now(), [this, endpoint] { drain_endpoint(endpoint); });
-  }
-}
-
-void TcpTransport::drain_endpoint(const std::shared_ptr<Endpoint>& endpoint) {
-  // Disarm BEFORE draining: a push landing after this re-arms and
-  // schedules the next drain, so nothing published is ever stranded.
-  endpoint->drain_pending.store(false, std::memory_order_release);
-
-  std::vector<Delivery> batch;
-  endpoint->ring.drain(batch, kMaxDeliveryBatch);
-  if (!batch.empty()) {
-    BatchDeliverFn handler;
-    {
-      std::lock_guard lock(handlers_mutex_);
-      if (endpoint->registered) handler = endpoint->deliver;
-    }
-    {
-      std::lock_guard lock(jobs_mutex_);
-      if (handler) {
-        stats_.messages_delivered += batch.size();
-      } else {
-        stats_.messages_dropped += batch.size();  // unregistered meanwhile
-      }
-    }
-    if (handler) handler(batch);
-  }
-
-  // A capped drain can leave entries behind with no producer left to wake
-  // us; keep draining until the ring is visibly empty.
-  if (!endpoint->ring.empty() &&
-      !endpoint->drain_pending.exchange(true, std::memory_order_acq_rel)) {
-    (void)enqueue(Clock::now(), [this, endpoint] { drain_endpoint(endpoint); });
-  }
-}
-
 void TcpTransport::drop_queue(Conn& conn) {
   if (conn.queue.empty()) return;
-  count_dropped(conn.queue.size());
+  executor_.count_dropped(conn.queue.size());
   conn.queue.clear();
 }
 
@@ -383,30 +206,30 @@ void TcpTransport::enqueue_frame(const std::shared_ptr<Conn>& conn, Bytes frame)
     }
   }
   conn->cv.notify_all();
-  std::lock_guard lock(jobs_mutex_);
-  if (dropped) {
-    ++stats_.messages_dropped;
-    ++stats_.send_queue_drops;
-  } else if (depth > stats_.send_queue_highwater) {
-    stats_.send_queue_highwater = depth;
-  }
+  executor_.with_stats([&](sim::TransportStats& stats) {
+    if (dropped) {
+      ++stats.messages_dropped;
+      ++stats.send_queue_drops;
+    } else if (depth > stats.send_queue_highwater) {
+      stats.send_queue_highwater = depth;
+    }
+  });
 }
 
 void TcpTransport::send(NodeId from, NodeId to, Bytes payload) {
-  {
-    std::lock_guard lock(jobs_mutex_);
-    ++stats_.messages_sent;
-    stats_.bytes_sent += payload.size();
-  }
+  executor_.with_stats([&](sim::TransportStats& stats) {
+    ++stats.messages_sent;
+    stats.bytes_sent += payload.size();
+  });
 
   // Local fast path.
-  if (find_endpoint(to) != nullptr) {
-    deliver_local(from, to, std::move(payload));
+  if (executor_.registered(to)) {
+    executor_.deliver(from, to, std::move(payload));
     return;
   }
 
   if (payload.size() > kMaxFrame - 8) {
-    count_dropped(1);
+    executor_.count_dropped(1);
     return;
   }
   Bytes frame = encode_frame(from, to, payload);
@@ -419,7 +242,7 @@ void TcpTransport::send(NodeId from, NodeId to, Bytes payload) {
   {
     std::lock_guard lock(directory_mutex_);
     if (closed_for_send_) {
-      count_dropped(1);
+      executor_.count_dropped(1);
       return;
     }
     if (const auto learned = learned_.find(to); learned != learned_.end()) {
@@ -432,7 +255,7 @@ void TcpTransport::send(NodeId from, NodeId to, Bytes payload) {
     if (!conn) {
       const auto entry = directory_.find(to);
       if (entry == directory_.end()) {
-        count_dropped(1);
+        executor_.count_dropped(1);
         return;
       }
       auto [it, inserted] = outbound_.try_emplace(entry->second, nullptr);
@@ -472,10 +295,7 @@ void TcpTransport::writer_loop(std::shared_ptr<Conn> conn) {
       lk.unlock();
       const int fd = try_connect(endpoint);
       if (fd < 0) {
-        {
-          std::lock_guard stats_lock(jobs_mutex_);
-          ++stats_.connect_failures;
-        }
+        executor_.with_stats([](sim::TransportStats& stats) { ++stats.connect_failures; });
         lk.lock();
         drop_queue(*conn);
         conn->cv.wait_for(lk, std::chrono::milliseconds(backoff_ms),
@@ -499,8 +319,7 @@ void TcpTransport::writer_loop(std::shared_ptr<Conn> conn) {
       }
       backoff_ms = kMinBackoffMs;
       if (conn->ever_connected) {
-        std::lock_guard stats_lock(jobs_mutex_);
-        ++stats_.reconnects;
+        executor_.with_stats([](sim::TransportStats& stats) { ++stats.reconnects; });
       }
       conn->ever_connected = true;
       conn->sock = sock;
@@ -513,7 +332,7 @@ void TcpTransport::writer_loop(std::shared_ptr<Conn> conn) {
     const bool ok = write_all(sock->fd, frame.data(), frame.size());
     lk.lock();
     if (!ok) {
-      count_dropped(1);
+      executor_.count_dropped(1);
       if (conn->sock == sock) {
         sock->shut();  // reader notices, resets conn->sock and cleans up
       }
@@ -565,15 +384,11 @@ void TcpTransport::reader_loop(std::shared_ptr<Socket> sock, std::shared_ptr<Con
     Bytes payload(frame_length - 8);
     if (!payload.empty() && !read_all(fd, payload.data(), payload.size())) break;
     {
-      std::lock_guard stats_lock(jobs_mutex_);
-      stats_.bytes_received += payload.size();
-    }
-    {
       // Remember how to reach the sender: over this very channel.
       std::lock_guard lock(directory_mutex_);
       learned_[from] = conn;
     }
-    deliver_local(from, to, std::move(payload));
+    executor_.deliver(from, to, std::move(payload));
   }
 
   // The socket is dead. Outbound channels drop it and let the writer
@@ -602,29 +417,6 @@ void TcpTransport::reader_loop(std::shared_ptr<Socket> sock, std::shared_ptr<Con
     });
   }
   // Dropping our reference closes the fd once the writer is done with it.
-}
-
-void TcpTransport::dispatch_loop() {
-  std::unique_lock lock(jobs_mutex_);
-  while (true) {
-    if (stopping_) return;
-    if (jobs_.empty()) {
-      jobs_cv_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
-      continue;
-    }
-    const Clock::time_point due = jobs_.top().at;
-    if (Clock::now() < due) {
-      jobs_cv_.wait_until(lock, due, [this, due] {
-        return stopping_ || (!jobs_.empty() && jobs_.top().at < due);
-      });
-      continue;
-    }
-    Job job = std::move(const_cast<Job&>(jobs_.top()));
-    jobs_.pop();
-    lock.unlock();
-    job.run();
-    lock.lock();
-  }
 }
 
 }  // namespace securestore::net

@@ -19,20 +19,11 @@
 // the other transports, delivery is best-effort datagram semantics and the
 // protocol timeouts handle loss.
 //
-// Receive path: reader threads (and the local-send fast path) push each
-// message into the destination node's bounded lock-free DeliveryRing and
-// wake the dispatcher at most once per burst; the dispatcher drains up to
-// kMaxDeliveryBatch entries per wakeup and hands them to the node's batch
-// handler in one call — the handoff that lets a server batch-verify
-// signatures. This replaces the old one-dispatch-job-per-frame handoff
-// through the jobs mutex.
-//
-// Threading model matches ThreadTransport: every delivery and scheduled
-// callback runs on ONE dispatch thread, so protocol objects stay
-// single-threaded. Initiate client operations via schedule(0, ...).
+// Receive path: reader threads (and the local-send fast path) hand each
+// message to the shared net::Executor (see executor.h), which owns the
+// delivery rings, the one dispatch thread that runs every delivery and
+// scheduled callback, the batched drains and the shutdown accounting.
 // Call stop() before destroying nodes registered on the transport.
-// Messages undelivered at stop() — ring remnants, or sends racing the
-// shutdown — are counted dropped, never silently discarded.
 #pragma once
 
 #include <atomic>
@@ -43,13 +34,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "net/ring.h"
+#include "net/executor.h"
 #include "net/transport.h"
 
 namespace securestore::net {
@@ -86,37 +75,29 @@ class TcpTransport final : public Transport {
   /// known). Thread-safe.
   void set_endpoint(NodeId node, TcpEndpoint endpoint);
 
-  void register_node(NodeId node, DeliverFn deliver) override;
-  void register_node_batched(NodeId node, BatchDeliverFn deliver) override;
-  void unregister_node(NodeId node) override;
+  void register_node(NodeId node, DeliverFn deliver) override {
+    executor_.register_node(node, std::move(deliver));
+  }
+  void register_node_batched(NodeId node, BatchDeliverFn deliver) override {
+    executor_.register_node_batched(node, std::move(deliver));
+  }
+  void unregister_node(NodeId node) override { executor_.unregister_node(node); }
   void send(NodeId from, NodeId to, Bytes payload) override;
-  SimTime now() const override;
-  void schedule(SimDuration delay, std::function<void()> callback) override;
+  SimTime now() const override { return executor_.now(); }
+  void schedule(SimDuration delay, std::function<void()> callback) override {
+    executor_.schedule(delay, std::move(callback));
+  }
   /// Delivery-ring occupancy of `node` (approximate; racing producers).
-  std::size_t backlog(NodeId node) const override;
-  const sim::TransportStats& stats() const override;
-  void reset_stats() override;
-  obs::Registry& registry() override { return *registry_; }
-  obs::EventLog& events() override { return *events_; }
+  std::size_t backlog(NodeId node) const override { return executor_.backlog(node); }
+  const sim::TransportStats& stats() const override { return executor_.stats_view(); }
+  void reset_stats() override { executor_.reset_stats(); }
+  obs::Registry& registry() override { return executor_.registry(); }
+  obs::EventLog& events() override { return executor_.events(); }
 
   /// Joins all background threads; idempotent.
   void stop();
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Job {
-    Clock::time_point at;
-    std::uint64_t sequence;
-    std::function<void()> run;
-  };
-  struct Later {
-    bool operator()(const Job& a, const Job& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.sequence > b.sequence;
-    }
-  };
-
   /// A live socket. Held by shared_ptr from its reader and (while writing)
   /// its connection, so the fd is closed — and its number freed for reuse —
   /// only after every user is done with it. `shut()` is the cross-thread
@@ -143,47 +124,18 @@ class TcpTransport final : public Transport {
     std::thread writer;
   };
 
-  /// One registered node's delivery state. Kept (as a tombstone with
-  /// registered=false) after unregister_node so in-flight ring entries are
-  /// still accounted.
-  struct Endpoint {
-    DeliveryRing ring;
-    BatchDeliverFn deliver;           // guarded by handlers_mutex_
-    bool registered = true;           // guarded by handlers_mutex_
-    std::atomic<bool> drain_pending{false};
-  };
-
-  /// False when the transport is stopping (the job will never run).
-  bool enqueue(Clock::time_point at, std::function<void()> run);
-  void dispatch_loop();
   void accept_loop();
   void reader_loop(std::shared_ptr<Socket> sock, std::shared_ptr<Conn> conn);
   void writer_loop(std::shared_ptr<Conn> conn);
-  /// Ring push + single dispatcher wake per burst; counts the drop itself
-  /// on every failure path (no endpoint, ring full, ring closed).
-  void deliver_local(NodeId from, NodeId to, Bytes payload);
-  void drain_endpoint(const std::shared_ptr<Endpoint>& endpoint);
-  std::shared_ptr<Endpoint> find_endpoint(NodeId node);
   /// Registers the socket and spawns its reader; false when stopping (the
   /// socket is then shut down and must not be used).
   bool start_reader(const std::shared_ptr<Conn>& conn, const std::shared_ptr<Socket>& sock);
   void enqueue_frame(const std::shared_ptr<Conn>& conn, Bytes frame);
   /// Drops every queued frame, counting them. Caller holds conn.mutex.
   void drop_queue(Conn& conn);
-  void count_dropped(std::uint64_t n);
 
-  const Clock::time_point start_ = Clock::now();
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
-
-  mutable std::mutex jobs_mutex_;
-  std::condition_variable jobs_cv_;
-  std::priority_queue<Job, std::vector<Job>, Later> jobs_;
-  std::uint64_t next_sequence_ = 0;
-  bool stopping_ = false;
-
-  mutable std::mutex handlers_mutex_;
-  std::unordered_map<NodeId, std::shared_ptr<Endpoint>> endpoints_;
 
   mutable std::mutex directory_mutex_;
   std::map<NodeId, TcpEndpoint> directory_;
@@ -192,18 +144,9 @@ class TcpTransport final : public Transport {
   // connection — how servers answer clients on ephemeral ports without a
   // directory entry.
   std::map<NodeId, std::shared_ptr<Conn>> learned_;
-  bool closed_for_send_ = false;  // stop() in progress: no new connections
+  bool closed_for_send_ = false;  // stop() ran: no new connections
 
-  sim::TransportStats stats_;              // guarded by jobs_mutex_
-  mutable sim::TransportStats snapshot_;   // stats() return storage
-  /// Per-snapshot ring-occupancy high-watermark; lock-free because it is
-  /// recorded on every successful ring push (the hot path).
-  std::atomic<std::uint64_t> ring_highwater_{0};
-  std::shared_ptr<obs::Registry> registry_;
-  std::shared_ptr<obs::EventLog> events_;
-  std::uint64_t collector_id_ = 0;
-
-  std::thread dispatcher_;
+  Executor executor_;  // its dispatch thread runs send() from handlers
   std::thread acceptor_;
   std::mutex readers_mutex_;
   std::vector<std::thread> readers_;

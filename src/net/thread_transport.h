@@ -6,39 +6,15 @@
 // models the network with the same LinkProfile sampling, but delays are
 // slept through on a dispatch thread instead of skipped by a scheduler.
 //
-// Threading model: ALL deliveries and scheduled callbacks execute on one
-// dispatch thread, serializing every protocol handler — the protocol
-// objects themselves stay single-threaded, exactly as under the simulator.
-// `send`/`schedule`/`register_node` may be called from any thread.
-//
-// Delivery hot path: each registered node owns a bounded lock-free
-// DeliveryRing. A due message is pushed into the destination's ring (two
-// atomic ops) and the dispatcher is woken at most once per burst — the
-// first push into an idle ring schedules a drain job; subsequent pushes
-// ride for free. The drain hands the batch (up to `max_batch`, default
-// kMaxDeliveryBatch) to the node's handler in one call, which is what lets
-// a server verify a whole batch of signatures per wakeup. This replaces
-// the old per-message mutex-and-condvar handoff: the jobs mutex is now
-// taken once per batch, not once per message.
-//
-// Shutdown: call `stop()` (joins the dispatch thread, drops pending jobs)
-// BEFORE destroying servers/clients registered on the transport; pending
-// jobs may otherwise run against destroyed objects. Messages undelivered
-// at stop — queued jobs and ring remnants alike — are counted dropped, so
-// messages_sent == messages_delivered + messages_dropped holds across a
-// shutdown race.
+// `send` samples the link's latency; everything else — the dispatch
+// thread, delivery rings, batched drains, shutdown accounting and the
+// threading model — is the shared net::Executor (see executor.h). Call
+// `stop()` BEFORE destroying servers/clients registered on the transport.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <unordered_map>
 
-#include "net/ring.h"
+#include "net/executor.h"
 #include "net/transport.h"
 #include "sim/network.h"
 
@@ -56,100 +32,40 @@ class ThreadTransport final : public Transport {
   ThreadTransport(const ThreadTransport&) = delete;
   ThreadTransport& operator=(const ThreadTransport&) = delete;
 
-  void register_node(NodeId node, DeliverFn deliver) override;
-  void register_node_batched(NodeId node, BatchDeliverFn deliver) override;
-  void unregister_node(NodeId node) override;
+  void register_node(NodeId node, DeliverFn deliver) override {
+    executor_.register_node(node, std::move(deliver));
+  }
+  void register_node_batched(NodeId node, BatchDeliverFn deliver) override {
+    executor_.register_node_batched(node, std::move(deliver));
+  }
+  void unregister_node(NodeId node) override { executor_.unregister_node(node); }
   void send(NodeId from, NodeId to, Bytes payload) override;
   /// Microseconds of wall-clock time since construction.
-  SimTime now() const override;
-  void schedule(SimDuration delay, std::function<void()> callback) override;
+  SimTime now() const override { return executor_.now(); }
+  void schedule(SimDuration delay, std::function<void()> callback) override {
+    executor_.schedule(delay, std::move(callback));
+  }
   /// Delivery-ring occupancy of `node` (approximate; racing producers).
-  std::size_t backlog(NodeId node) const override;
-  const sim::TransportStats& stats() const override {
-    // Counters are written under jobs_mutex_ from caller and dispatch
-    // threads; hand out a snapshot taken under the same lock. The ring
-    // high-watermark lives in its own atomic (the successful-push path must
-    // not take the mutex) and is folded in here.
-    std::lock_guard lock(jobs_mutex_);
-    snapshot_ = stats_;
-    snapshot_.ring_occupancy_highwater = ring_highwater_.load(std::memory_order_relaxed);
-    return snapshot_;
-  }
-  void reset_stats() override {
-    std::lock_guard lock(jobs_mutex_);
-    stats_.reset();
-    ring_highwater_.store(0, std::memory_order_relaxed);
-  }
-  obs::Registry& registry() override { return *registry_; }
-  obs::EventLog& events() override { return *events_; }
+  std::size_t backlog(NodeId node) const override { return executor_.backlog(node); }
+  const sim::TransportStats& stats() const override { return executor_.stats_view(); }
+  void reset_stats() override { executor_.reset_stats(); }
+  obs::Registry& registry() override { return executor_.registry(); }
+  obs::EventLog& events() override { return executor_.events(); }
 
   /// Joins the dispatch thread; idempotent. Undelivered messages (queued
   /// jobs, ring remnants) are counted as dropped.
-  void stop();
+  void stop() { executor_.stop(); }
 
   /// Caps how many pending messages one drain hands a batch handler.
   /// Clamped to [1, kMaxDeliveryBatch]; 1 disables batching (benches A/B
   /// the verify pipeline with this).
-  void set_max_batch(std::size_t n);
+  void set_max_batch(std::size_t n) { executor_.set_max_batch(n); }
 
   sim::NetworkModel& network() { return network_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Job {
-    Clock::time_point at;
-    std::uint64_t sequence;
-    std::function<void()> run;
-    bool delivery = false;  // carries a message: dropping it must be counted
-  };
-  struct Later {
-    bool operator()(const Job& a, const Job& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.sequence > b.sequence;
-    }
-  };
-
-  /// One registered node's delivery state. Kept (as a tombstone with
-  /// registered=false) after unregister_node so in-flight ring entries are
-  /// still accounted.
-  struct Endpoint {
-    DeliveryRing ring;
-    BatchDeliverFn deliver;           // guarded by handlers_mutex_
-    bool registered = true;           // guarded by handlers_mutex_
-    std::atomic<bool> drain_pending{false};
-  };
-
-  /// False when the transport is stopping (the job will never run).
-  bool enqueue(Clock::time_point at, std::function<void()> run, bool delivery = false);
-  void dispatch_loop();
-  void deliver_to_ring(NodeId from, NodeId to, Bytes payload);
-  void drain_endpoint(const std::shared_ptr<Endpoint>& endpoint);
-
-  const Clock::time_point start_ = Clock::now();
-
-  mutable std::mutex jobs_mutex_;
-  std::condition_variable jobs_cv_;
-  std::priority_queue<Job, std::vector<Job>, Later> jobs_;
-  std::uint64_t next_sequence_ = 0;
-  bool stopping_ = false;
-
-  mutable std::mutex handlers_mutex_;
-  std::unordered_map<NodeId, std::shared_ptr<Endpoint>> endpoints_;
-
-  sim::NetworkModel network_;  // guarded by jobs_mutex_ (rng state)
-  sim::TransportStats stats_;  // guarded by jobs_mutex_
-  mutable sim::TransportStats snapshot_;  // stats() return storage
-  /// Per-snapshot ring-occupancy high-watermark; lock-free because it is
-  /// recorded on every successful ring push (the hot path).
-  std::atomic<std::uint64_t> ring_highwater_{0};
-  std::atomic<std::size_t> max_batch_{kMaxDeliveryBatch};
-
-  std::shared_ptr<obs::Registry> registry_;
-  std::shared_ptr<obs::EventLog> events_;
-  std::uint64_t collector_id_ = 0;
-
-  std::thread dispatcher_;
+  sim::NetworkModel network_;  // sampled under the executor's stats mutex (rng state)
+  Executor executor_;
 };
 
 }  // namespace securestore::net

@@ -7,7 +7,6 @@
 // UDP — so every protocol carries its own timeouts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -113,16 +112,5 @@ class Transport {
 /// Publishes a TransportStats snapshot into `registry` as `transport.*`
 /// gauges — the collector body every concrete transport registers.
 void fold_transport_stats(obs::Registry& registry, const sim::TransportStats& stats);
-
-/// Relaxed CAS-max into an atomic high-watermark. Shared by the thread and
-/// TCP transports' ring-occupancy tracking, which runs on the successful
-/// push path and therefore cannot take the stats mutex.
-inline void detail_record_highwater(std::atomic<std::uint64_t>& highwater,
-                                    std::uint64_t value) {
-  std::uint64_t current = highwater.load(std::memory_order_relaxed);
-  while (value > current &&
-         !highwater.compare_exchange_weak(current, value, std::memory_order_relaxed)) {
-  }
-}
 
 }  // namespace securestore::net

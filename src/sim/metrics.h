@@ -40,6 +40,7 @@ struct TransportStats {
   std::uint64_t messages_delivered = 0;
   std::uint64_t messages_dropped = 0;
   std::uint64_t bytes_sent = 0;
+  /// Payload bytes handed to a receive handler (counted at delivery).
   std::uint64_t bytes_received = 0;
 
   /// Outbound connections re-established after a previous connection to the
@@ -62,8 +63,5 @@ struct TransportStats {
 
   void reset() { *this = TransportStats{}; }
 };
-
-/// Historical name; the struct outgrew message counting.
-using MessageStats = TransportStats;
 
 }  // namespace securestore::sim

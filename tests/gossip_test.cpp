@@ -228,5 +228,42 @@ TEST(Gossip, BadSignatureInBatchRejectsOnlyThatRecord) {
   EXPECT_EQ(rejected.value() - rejected_before, 1u);
 }
 
+TEST(Gossip, DuplicatedDigestItemIsJudgedByItsFirstEntry) {
+  // A digest that names an item twice (a faulty or Byzantine peer) is read
+  // by its first entry for that item: "up to date, then behind" pushes
+  // nothing, "behind, then up to date" pushes the record once.
+  ClusterOptions options;
+  options.n = 2;
+  options.b = 0;
+  options.start_gossip = false;
+  Cluster cluster(options);
+  cluster.set_group_policy(mrc_policy());
+
+  auto client = cluster.make_client(ClientId{1}, client_options());
+  SyncClient sync(*client, cluster.scheduler());
+  client->set_server_preference({NodeId{0}, NodeId{1}});
+  ASSERT_TRUE(sync.write(ItemId{1}, to_bytes("only one")).ok());
+  const core::WriteRecord* record = cluster.server(0).store().current(ItemId{1});
+  ASSERT_NE(record, nullptr);
+  const core::Timestamp current = record->ts;
+
+  const auto digest = [](const std::vector<core::Timestamp>& entries) {
+    Writer w;
+    w.u32(static_cast<std::uint32_t>(entries.size()));
+    for (const core::Timestamp& ts : entries) {
+      w.u64(1);
+      ts.encode(w);
+    }
+    return w.take();
+  };
+  auto& sent = cluster.registry().counter("gossip.records_sent");
+  const std::uint64_t before = sent.value();
+  auto& gossip = cluster.server(0).gossip();
+  gossip.handle(NodeId{1}, net::MsgType::kGossipDigest, digest({current, core::Timestamp{}}));
+  EXPECT_EQ(sent.value(), before);
+  gossip.handle(NodeId{1}, net::MsgType::kGossipDigest, digest({core::Timestamp{}, current}));
+  EXPECT_EQ(sent.value(), before + 1);
+}
+
 }  // namespace
 }  // namespace securestore

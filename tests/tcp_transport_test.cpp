@@ -62,6 +62,8 @@ TEST(TcpTransport, LocalNodesShortCircuit) {
   auto future = received.get_future();
   ASSERT_EQ(future.wait_for(std::chrono::seconds(5)), std::future_status::ready);
   EXPECT_EQ(to_string(future.get()), "in-process");
+  // bytes_received counts what reached a handler, local deliveries too.
+  EXPECT_EQ(transport.stats().bytes_received, to_bytes("in-process").size());
   transport.stop();
 }
 
@@ -71,66 +73,6 @@ TEST(TcpTransport, UnknownDestinationDropsCleanly) {
   // Give the counter a moment (send is synchronous for the drop path).
   EXPECT_GE(transport.stats().messages_dropped, 1u);
   transport.stop();
-}
-
-TEST(TcpTransport, LocalBurstsCoalesceIntoBatches) {
-  net::TcpTransport transport(0, {});
-  std::atomic<std::size_t> total{0};
-  std::atomic<std::size_t> calls{0};
-  transport.register_node_batched(NodeId{2}, [&](std::vector<net::Delivery>& batch) {
-    EXPECT_LE(batch.size(), net::Transport::kMaxDeliveryBatch);
-    calls.fetch_add(1);
-    total.fetch_add(batch.size());
-  });
-  constexpr std::size_t kCount = 300;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    transport.send(NodeId{1}, NodeId{2}, to_bytes("burst"));
-  }
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (total.load() < kCount && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(total.load(), kCount);
-  EXPECT_LE(calls.load(), kCount);
-  transport.stop();
-  EXPECT_EQ(transport.stats().messages_delivered, kCount);
-  EXPECT_EQ(transport.stats().messages_dropped, 0u);
-}
-
-TEST(TcpTransport, SendsRacingStopAreDeliveredOrCountedDropped) {
-  // Satellite regression (run under TSan via the `tsan` label): local sends
-  // racing stop() used to be silently swallowed by the dispatcher's
-  // stopping_ gate without touching messages_dropped. Now every send either
-  // reaches the handler or lands in the drop counter — exactly one of the
-  // two, never neither.
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  auto transport = std::make_unique<net::TcpTransport>(0, std::map<NodeId, net::TcpEndpoint>{});
-  std::atomic<std::uint64_t> handled{0};
-  transport->register_node_batched(NodeId{2}, [&](std::vector<net::Delivery>& batch) {
-    handled.fetch_add(batch.size());
-  });
-
-  std::atomic<bool> go{false};
-  std::vector<std::thread> senders;
-  for (int t = 0; t < kThreads; ++t) {
-    senders.emplace_back([&] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int i = 0; i < kPerThread; ++i) {
-        transport->send(NodeId{1}, NodeId{2}, to_bytes("racing"));
-      }
-    });
-  }
-  go.store(true, std::memory_order_release);
-  // Stop mid-burst: some sends land before, some during, some after.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  transport->stop();
-  for (auto& thread : senders) thread.join();
-
-  const auto& stats = transport->stats();
-  EXPECT_EQ(stats.messages_sent, static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(stats.messages_sent, stats.messages_delivered + stats.messages_dropped);
-  EXPECT_EQ(stats.messages_delivered, handled.load());
 }
 
 TEST(TcpTransport, FullProtocolAcrossTwoProcesses) {

@@ -284,86 +284,22 @@ TEST(ThreadTransport, NowAdvancesWithWallClock) {
   transport.stop();
 }
 
-TEST(ThreadTransport, BatchedDeliveryDrainsBurstsWithCappedBatches) {
-  // Zero-latency sends publish straight into the destination ring from the
-  // caller thread; the dispatcher drains them in batches capped by
-  // set_max_batch. Every message arrives exactly once, in send order.
-  net::ThreadTransport transport(sim::NetworkModel(Rng(1), sim::zero_profile()));
-  transport.set_max_batch(4);
-  std::atomic<std::size_t> total{0};
-  std::atomic<std::size_t> calls{0};
-  std::atomic<bool> order_ok{true};
-  auto next_expected = std::make_shared<std::uint32_t>(0);  // dispatch thread only
-  transport.register_node_batched(NodeId{1}, [&, next_expected](
-                                                 std::vector<net::Delivery>& batch) {
-    if (batch.empty() || batch.size() > 4) order_ok = false;
-    for (const net::Delivery& d : batch) {
-      Reader r(d.payload);
-      if (r.u32() != (*next_expected)++) order_ok = false;
-    }
-    calls.fetch_add(1);
-    total.fetch_add(batch.size());
-  });
-
-  constexpr std::uint32_t kCount = 400;
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    Writer w;
-    w.u32(i);
-    transport.send(NodeId{0}, NodeId{1}, w.take());
-  }
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (total.load() < kCount && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  transport.stop();
-  EXPECT_EQ(total.load(), kCount);
-  EXPECT_TRUE(order_ok.load());
-  EXPECT_GE(calls.load(), kCount / 4);  // cap respected ⇒ at least count/cap calls
-  EXPECT_EQ(transport.stats().messages_delivered, kCount);
+TEST(ThreadTransport, StopCountsDeliveriesStillInFlightDropped) {
+  // A message on a slow link waits in the job heap as a timed delivery;
+  // stop() drops it and counts it. The transport contract tests (shared
+  // with TcpTransport) cover the rest of stop().
+  net::ThreadTransport transport(
+      sim::NetworkModel(Rng(1), sim::LinkProfile{seconds(60), 0, 0}));
+  std::atomic<int> handled{0};
+  transport.register_node(NodeId{1}, [&](NodeId, BytesView) { ++handled; });
+  transport.send(NodeId{0}, NodeId{1}, to_bytes("slow"));
   EXPECT_EQ(transport.stats().messages_dropped, 0u);
-}
-
-TEST(ThreadTransport, SendsRacingStopAreDeliveredOrCountedDropped) {
-  // Same exact-accounting contract as the TCP transport: sends racing
-  // stop() either reach the handler or land in messages_dropped.
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  net::ThreadTransport transport(sim::NetworkModel(Rng(1), sim::zero_profile()));
-  std::atomic<std::uint64_t> handled{0};
-  transport.register_node_batched(NodeId{9}, [&](std::vector<net::Delivery>& batch) {
-    handled.fetch_add(batch.size());
-  });
-
-  std::atomic<bool> go{false};
-  std::vector<std::thread> senders;
-  for (int t = 0; t < kThreads; ++t) {
-    senders.emplace_back([&] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int i = 0; i < kPerThread; ++i) {
-        transport.send(NodeId{0}, NodeId{9}, to_bytes("racing"));
-      }
-    });
-  }
-  go.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   transport.stop();
-  for (auto& thread : senders) thread.join();
-
-  const auto& stats = transport.stats();
-  EXPECT_EQ(stats.messages_sent, static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(stats.messages_sent, stats.messages_delivered + stats.messages_dropped);
-  EXPECT_EQ(stats.messages_delivered, handled.load());
-}
-
-TEST(ThreadTransport, StopIsIdempotentAndDropsPendingJobs) {
-  auto transport =
-      std::make_unique<net::ThreadTransport>(sim::NetworkModel(Rng(1), sim::zero_profile()));
-  auto fired = std::make_shared<std::atomic<bool>>(false);
-  transport->schedule(seconds(60), [fired] { *fired = true; });
-  transport->stop();
-  transport->stop();
-  transport.reset();
-  EXPECT_FALSE(*fired);
+  EXPECT_EQ(transport.stats().messages_sent, 1u);
+  EXPECT_EQ(transport.stats().messages_dropped, 1u);
+  transport.send(NodeId{0}, NodeId{1}, to_bytes("after stop"));
+  EXPECT_EQ(transport.stats().messages_dropped, 2u);
+  EXPECT_EQ(handled.load(), 0);
 }
 
 }  // namespace
