@@ -40,8 +40,13 @@ MqEntry decode_entry(Reader& r) {
 
 MqServer::MqServer(net::Transport& transport, NodeId id, core::StoreConfig config)
     : node_(transport, id), config_(std::move(config)) {
-  node_.set_request_handler([this](NodeId from, net::MsgType type, BytesView body) {
-    return handle(from, type, body);
+  node_.set_batch_request_handler([this](std::vector<net::IncomingRequest>& batch) {
+    std::vector<std::optional<std::pair<net::MsgType, Bytes>>> responses;
+    responses.reserve(batch.size());
+    for (const net::IncomingRequest& request : batch) {
+      responses.push_back(handle(request.from, request.type, request.body));
+    }
+    return responses;
   });
 }
 

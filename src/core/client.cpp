@@ -294,12 +294,12 @@ struct SecureStoreClient::Rounds {
   Targets targets_for;
   Fold fold;
   Settle settle;
-  std::weak_ptr<Rounds> self;  // the owning pointer lives in pending callbacks
+  std::weak_ptr<Rounds> self{};  // the owning pointer lives in pending callbacks
   // The current round, reset by start().
   unsigned round = 0;
   State state{};
-  std::vector<NodeId> targets;
-  std::vector<NodeId> responders;  // every non-misroute reply, arrival order
+  std::vector<NodeId> targets{};
+  std::vector<NodeId> responders{};  // every non-misroute reply, arrival order
   std::size_t refused = 0;
   net::QuorumOutcome outcome = net::QuorumOutcome::kTimeout;
 };

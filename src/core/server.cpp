@@ -1,5 +1,6 @@
 #include "core/server.h"
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 
@@ -92,23 +93,8 @@ SecureStoreServer::SecureStoreServer(net::Transport& transport, NodeId id, Store
 
   gossip_ = std::make_unique<gossip::GossipEngine>(
       node_, *items_, config_.servers, options_.gossip, std::move(rng),
-      [this](const WriteRecord& record, NodeId /*from*/) {
-        // Scattered fragments never travel by gossip (honest peers do not
-        // send them; see RecordFlags::kScattered).
-        if (record.flags & kScattered) return false;
-        // Sharded: records for groups another shard owns never enter this
-        // store, whoever gossips them (rebalance uses import_record).
-        if (!owns_group(record.group)) return false;
-        if (!validate_record(record)) return false;
-        apply_with_holds(record);
-        return true;
-      });
-
-  // Multi-record gossip messages settle every writer signature in one
-  // Ed25519 batch instead of record-by-record.
-  gossip_->set_apply_batch(
       [this](const std::vector<std::pair<WriteRecord, obs::TraceContext>>& records,
-             NodeId from) { return apply_gossip_batch(records, from); });
+             NodeId /*from*/) { return apply_gossip_batch(records); });
 
   // Ring dissemination rides gossip: offer our installed ring each tick and
   // consider any ring a peer offers (install_ring enforces signature +
@@ -450,7 +436,8 @@ void SecureStoreServer::install_ring_bytes(NodeId /*from*/, BytesView body) {
 
 std::optional<GroupId> SecureStoreServer::request_group(net::MsgType type, BytesView body) {
   // A second decode of the body on the sharded path only; the dispatch
-  // switch re-decodes because fault hooks sit between here and there.
+  // switch re-decodes (or, for kWrite, uses the batch gate's decode)
+  // because fault hooks sit between here and there.
   try {
     switch (type) {
       case net::MsgType::kContextRead:
@@ -476,8 +463,10 @@ std::optional<GroupId> SecureStoreServer::request_group(net::MsgType type, Bytes
 }
 
 bool SecureStoreServer::import_record(const WriteRecord& record) {
+  // No ownership check: the import runs before the new ring is installed.
   if (record.flags & kScattered) return false;
-  if (!validate_record(record)) return false;
+  const WriteRecord* const gated[] = {&record};
+  if (!settle_records(gated).front()) return false;
   apply_with_holds(record);
   commit_wal();  // outside any delivery batch: commit for ourselves
   return true;
@@ -630,7 +619,8 @@ const Bytes& SecureStoreServer::overloaded_body(std::uint32_t retry_after_us) {
 }
 
 std::optional<std::pair<net::MsgType, Bytes>> SecureStoreServer::handle_request(
-    NodeId from, net::MsgType type, BytesView body, const obs::TraceContext& trace) {
+    NodeId from, net::MsgType type, BytesView body, const obs::TraceContext& trace,
+    const GatedWrite* write) {
   // Request mix is counted before the fault hooks: the metric reflects what
   // arrived, not what a muted server deigned to process.
   const auto counter = req_counters_.find(static_cast<std::uint16_t>(type));
@@ -677,7 +667,8 @@ std::optional<std::pair<net::MsgType, Bytes>> SecureStoreServer::handle_request(
         honest = {net::MsgType::kRead, handle_read(ReadReq::deserialize(body))};
         break;
       case net::MsgType::kWrite:
-        honest = {net::MsgType::kWrite, handle_write(WriteReq::deserialize(body))};
+        if (write == nullptr) return std::nullopt;  // undecodable: ignore
+        honest = {net::MsgType::kWrite, handle_write(*write)};
         break;
       case net::MsgType::kLogRead:
         honest = {net::MsgType::kLogRead, handle_log_read(LogReadReq::deserialize(body))};
@@ -719,65 +710,52 @@ std::vector<std::optional<std::pair<net::MsgType, Bytes>>> SecureStoreServer::ha
     }
   }
 
-  // Pre-verify the batch's client writes as ONE Ed25519 batch: decode each
-  // kWrite body, settle authorization / structure / value digest per
-  // record (all the checks the scalar path short-circuits on before
-  // touching the signature), then check the surviving signatures with a
-  // single interleaved multi-scalar multiplication. handle_write consumes
-  // the verdict through prevalidated_write_.
-  std::vector<std::optional<bool>> prevalidated(batch.size());
-  std::vector<std::size_t> sig_index;    // batch index per signature candidate
-  std::vector<WriteRecord> sig_records;  // owns the signed-payload sources
-  std::vector<Bytes> sig_payloads;
+  // Decode every kWrite body once, then gate the decodable ones together:
+  // token authorization in front of the one record gate, whose signature
+  // checks are one Ed25519 batch. The gate is timed once; each write's
+  // `server.verify` span reports an equal share of it (DESIGN.md §8).
+  std::vector<std::optional<GatedWrite>> writes(batch.size());
+  std::size_t write_count = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].type != net::MsgType::kWrite) continue;
-    WriteReq req;
     try {
-      req = WriteReq::deserialize(batch[i].body);
+      writes[i].emplace(GatedWrite{WriteReq::deserialize(batch[i].body)});
+      ++write_count;
     } catch (const DecodeError&) {
-      continue;  // handle_request will drop it the same way
+      // handle_request drops it as malformed
     }
-    const WriteRecord& record = req.record;
-    const Bytes* key = client_key(record.writer);
-    if (key == nullptr ||
-        !authorized(req.token, record.writer, record.group, Rights::kWrite) ||
-        !validate_record_structure(record) ||
-        crypto::meter_digest(record.value) != record.value_digest) {
-      prevalidated[i] = false;
-      continue;
-    }
-    sig_index.push_back(i);
-    sig_records.push_back(std::move(req.record));
-    sig_payloads.push_back(sig_records.back().signed_payload());
   }
-  if (sig_index.size() == 1) {
-    // A batch of one amortizes nothing; the scalar path meters identically.
-    const WriteRecord& record = sig_records.front();
-    prevalidated[sig_index.front()] =
-        crypto::meter_verify(*client_key(record.writer), sig_payloads.front(), record.signature);
-  } else if (sig_index.size() > 1) {
-    std::vector<crypto::BatchVerifyItem> items;
-    items.reserve(sig_index.size());
-    for (std::size_t j = 0; j < sig_index.size(); ++j) {
-      items.push_back(crypto::BatchVerifyItem{*client_key(sig_records[j].writer),
-                                              sig_payloads[j], sig_records[j].signature});
+  if (write_count > 0) {
+    const auto gate_start = std::chrono::steady_clock::now();
+    std::vector<const WriteRecord*> gated(batch.size(), nullptr);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!writes[i].has_value()) continue;
+      const WriteReq& req = writes[i]->req;
+      if (authorized(req.token, req.record.writer, req.record.group, Rights::kWrite)) {
+        gated[i] = &req.record;
+      }
     }
-    const crypto::BatchVerifyResult verdict = crypto::ed25519_batch_verify(items);
-    for (std::size_t j = 0; j < sig_index.size(); ++j) {
-      prevalidated[sig_index[j]] = verdict.valid[j];
+    const std::vector<bool> valid = settle_records(gated);
+    const auto gate_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             std::chrono::steady_clock::now() - gate_start)
+                             .count();
+    const auto share_us = static_cast<std::uint64_t>(
+        (gate_ns / static_cast<std::int64_t>(write_count) + 500) / 1000);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!writes[i].has_value()) continue;
+      writes[i]->valid = valid[i];
+      writes[i]->verify_us = share_us;
     }
   }
 
-  // Dispatch each request through the full scalar path — fault hooks,
-  // request-mix counters and response filtering behave identically whether
-  // or not the transport batched the delivery.
+  // Each request then runs the full per-request path in batch order: fault
+  // hooks, request-mix counters, admission and response filtering.
   std::vector<std::optional<std::pair<net::MsgType, Bytes>>> responses;
   responses.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    prevalidated_write_ = prevalidated[i];
-    responses.push_back(
-        handle_request(batch[i].from, batch[i].type, batch[i].body, batch[i].trace));
-    prevalidated_write_.reset();
+    responses.push_back(handle_request(batch[i].from, batch[i].type, batch[i].body,
+                                       batch[i].trace,
+                                       writes[i].has_value() ? &*writes[i] : nullptr));
   }
   return responses;
 }
@@ -853,28 +831,20 @@ Bytes SecureStoreServer::handle_read(const ReadReq& req) {
   return resp.serialize();
 }
 
-Bytes SecureStoreServer::handle_write(const WriteReq& req) {
+Bytes SecureStoreServer::handle_write(const GatedWrite& write) {
   WriteResp resp;
-  const WriteRecord& record = req.record;
-  // server.verify span: authorization + full record validation. Span
-  // timestamps sit on the transport clock (so they line up with the client
-  // spans); durations for in-memory work are measured in wall µs, which is
-  // also the only honest duration under the simulator (DESIGN.md §8).
+  const WriteRecord& record = write.req.record;
+  // server.verify span: this write's share of its batch's gate time
+  // (authorization + settle_records). Span timestamps sit on the transport
+  // clock (so they line up with the client spans); durations for in-memory
+  // work are measured in wall µs, which is also the only honest duration
+  // under the simulator (DESIGN.md §8).
   const bool traced = events_.want(active_trace_);
-  const auto verify_ts = static_cast<std::uint64_t>(node_.transport().now());
-  const std::uint64_t verify_wall = traced ? obs::wall_now_us() : 0;
-  // On the batched path the verdict (authorization included) was settled by
-  // handle_request_batch's single Ed25519 batch verification.
-  const bool valid =
-      prevalidated_write_.has_value()
-          ? *prevalidated_write_
-          : (authorized(req.token, record.writer, record.group, Rights::kWrite) &&
-             validate_record(record));
   if (traced) {
-    events_.span(node_.id().value, active_trace_, "server.verify", "server", verify_ts,
-                 obs::wall_now_us() - verify_wall);
+    events_.span(node_.id().value, active_trace_, "server.verify", "server",
+                 static_cast<std::uint64_t>(node_.transport().now()), write.verify_us);
   }
-  if (!valid) return resp.serialize();
+  if (!write.valid) return resp.serialize();
 
   const bool visible = apply_with_holds(record);
   resp.ok = true;
@@ -926,13 +896,6 @@ void SecureStoreServer::handle_stability(const StabilityMsg& msg) {
   items_->prune_log(msg.item, msg.ts);
 }
 
-bool SecureStoreServer::validate_record(const WriteRecord& record) const {
-  const Bytes* key = client_key(record.writer);
-  if (key == nullptr) return false;
-  if (!validate_record_structure(record)) return false;
-  return record.verify(*key);
-}
-
 bool SecureStoreServer::validate_record_structure(const WriteRecord& record) const {
   const GroupPolicy& policy = group_policy(record.group);
   if (record.model != policy.model) return false;
@@ -949,43 +912,48 @@ bool SecureStoreServer::validate_record_structure(const WriteRecord& record) con
   return true;
 }
 
-std::vector<bool> SecureStoreServer::apply_gossip_batch(
-    const std::vector<std::pair<WriteRecord, obs::TraceContext>>& records, NodeId /*from*/) {
-  std::vector<bool> accepted(records.size(), false);
-  // Same gate sequence as the per-record ApplyFn — scattered exclusion,
-  // writer key, structure, value digest — with the signatures of every
-  // survivor settled in one batch verification.
-  std::vector<std::size_t> sig_index;
-  std::vector<Bytes> sig_payloads;
+std::vector<bool> SecureStoreServer::settle_records(
+    std::span<const WriteRecord* const> records) const {
+  // The cheap checks first, in this order — writer key, structure, value
+  // digest — so a record failing one costs no signature check; then the
+  // signatures of every survivor as one batch verification.
+  std::vector<std::size_t> survivors;
+  std::vector<Bytes> payloads;  // owns the signed bytes the batch items view
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const WriteRecord& record = records[i].first;
-    if (record.flags & kScattered) continue;
-    if (!owns_group(record.group)) continue;  // sharded: not ours to store
-    const Bytes* key = client_key(record.writer);
-    if (key == nullptr || !validate_record_structure(record)) continue;
-    if (crypto::meter_digest(record.value) != record.value_digest) continue;
-    sig_index.push_back(i);
-    sig_payloads.push_back(record.signed_payload());
+    const WriteRecord* record = records[i];
+    if (record == nullptr || client_key(record->writer) == nullptr ||
+        !validate_record_structure(*record) ||
+        crypto::meter_digest(record->value) != record->value_digest) {
+      continue;
+    }
+    survivors.push_back(i);
+    payloads.push_back(record->signed_payload());
   }
-  if (sig_index.size() == 1) {
-    const WriteRecord& record = records[sig_index.front()].first;
-    if (crypto::meter_verify(*client_key(record.writer), sig_payloads.front(),
-                             record.signature)) {
-      accepted[sig_index.front()] = true;
-    }
-  } else if (sig_index.size() > 1) {
-    std::vector<crypto::BatchVerifyItem> items;
-    items.reserve(sig_index.size());
-    for (std::size_t j = 0; j < sig_index.size(); ++j) {
-      const WriteRecord& record = records[sig_index[j]].first;
-      items.push_back(
-          crypto::BatchVerifyItem{*client_key(record.writer), sig_payloads[j], record.signature});
-    }
-    const crypto::BatchVerifyResult verdict = crypto::ed25519_batch_verify(items);
-    for (std::size_t j = 0; j < sig_index.size(); ++j) {
-      if (verdict.valid[j]) accepted[sig_index[j]] = true;
-    }
+  std::vector<crypto::BatchVerifyItem> items;
+  items.reserve(survivors.size());
+  for (std::size_t j = 0; j < survivors.size(); ++j) {
+    const WriteRecord& record = *records[survivors[j]];
+    items.push_back(
+        crypto::BatchVerifyItem{*client_key(record.writer), payloads[j], record.signature});
   }
+  const crypto::BatchVerifyResult verdict = crypto::ed25519_batch_verify(items);
+  std::vector<bool> valid(records.size(), false);
+  for (std::size_t j = 0; j < survivors.size(); ++j) valid[survivors[j]] = verdict.valid[j];
+  return valid;
+}
+
+std::vector<bool> SecureStoreServer::apply_gossip_batch(
+    const std::vector<std::pair<WriteRecord, obs::TraceContext>>& records) {
+  // In front of the gate: scattered fragments never travel by gossip
+  // (honest peers do not send them; see RecordFlags::kScattered), and
+  // records for groups another shard owns never enter this store, whoever
+  // gossips them (rebalance uses import_record).
+  std::vector<const WriteRecord*> gated;
+  gated.reserve(records.size());
+  for (const auto& [record, ctx] : records) {
+    gated.push_back((record.flags & kScattered) || !owns_group(record.group) ? nullptr : &record);
+  }
+  const std::vector<bool> accepted = settle_records(gated);
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (accepted[i]) apply_with_holds(records[i].first);
   }

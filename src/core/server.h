@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "core/admission.h"
@@ -169,7 +170,7 @@ class SecureStoreServer {
   bool owns_group(GroupId group) const;
 
   // Rebalance handoff imports (DESIGN.md §11): full validation — records
-  // pass the same signature/structure/digest checks as client writes,
+  // pass the same record gate as client writes and gossip (settle_records),
   // contexts must carry a valid owner signature — but NO ownership gate, so
   // a destination shard can be seeded with groups the still-installed old
   // ring maps elsewhere. Returns false when validation rejects the input.
@@ -203,14 +204,27 @@ class SecureStoreServer {
   const StoreConfig& config_ref() const { return config_; }
 
  private:
+  /// A kWrite request as the batch gate left it: decoded once, with its
+  /// verdict (token authorization, then settle_records) and its equal
+  /// share of the gate's wall time, which its `server.verify` span reports.
+  struct GatedWrite {
+    WriteReq req;
+    bool valid = false;
+    std::uint64_t verify_us = 0;
+  };
+
+  /// One request of a batch: counters, fault hooks, admission, ownership,
+  /// then the honest handler. `write` is the gated form of a decodable
+  /// kWrite body (nullptr otherwise: an undecodable kWrite is dropped).
   std::optional<std::pair<net::MsgType, Bytes>> handle_request(NodeId from, net::MsgType type,
                                                                BytesView body,
-                                                               const obs::TraceContext& trace);
-  /// The batched hot path (DESIGN.md §10): everything the transport had
-  /// pending at one dispatch wakeup. Client-write signatures across the
-  /// batch are checked as ONE Ed25519 batch verification; each request then
-  /// flows through handle_request so fault hooks and per-type counters
-  /// behave identically to the scalar path.
+                                                               const obs::TraceContext& trace,
+                                                               const GatedWrite* write);
+  /// The only request entry point (DESIGN.md §10): everything the transport
+  /// had pending at one dispatch wakeup, a batch of one when nothing else
+  /// was. The batch's client writes pass the record gate together, so their
+  /// signatures are ONE Ed25519 batch verification; each request then runs
+  /// handle_request in batch order.
   std::vector<std::optional<std::pair<net::MsgType, Bytes>>> handle_request_batch(
       std::vector<net::IncomingRequest>& batch);
   void handle_oneway(NodeId from, net::MsgType type, BytesView body);
@@ -219,25 +233,28 @@ class SecureStoreServer {
   Bytes handle_context_write(const ContextWriteReq& req);
   Bytes handle_meta(const MetaReq& req);
   Bytes handle_read(const ReadReq& req);
-  Bytes handle_write(const WriteReq& req);
+  Bytes handle_write(const GatedWrite& write);
   Bytes handle_log_read(const LogReadReq& req);
   Bytes handle_reconstruct(const ReconstructReq& req);
   void handle_stability(const StabilityMsg& msg);
 
-  /// Validates a record end to end (writer key known, signature, digest,
-  /// policy conformance). Used for client writes and gossip alike.
-  bool validate_record(const WriteRecord& record) const;
+  /// The one record gate: every WriteRecord this server takes in — client
+  /// writes, gossip, rebalance imports — is judged here. Per record, in
+  /// order: writer key known, structure fits the group policy, value digest
+  /// matches; the signatures of the records that pass are then checked as
+  /// one Ed25519 batch. nullptr entries (rejected by a caller's filter in
+  /// front) stay rejected. Returns verdicts, index-aligned.
+  std::vector<bool> settle_records(std::span<const WriteRecord* const> records) const;
 
-  /// The crypto-free half of validate_record: policy conformance and
-  /// timestamp shape. The batch paths run this per record, then settle all
-  /// signatures at once.
+  /// Policy conformance and timestamp shape: settle_records' structure
+  /// check.
   bool validate_record_structure(const WriteRecord& record) const;
 
-  /// Batch gossip apply: per-record structure/digest checks, one Ed25519
-  /// batch verification across every candidate, then apply_with_holds for
-  /// the survivors. Returns accepted flags, index-aligned.
+  /// Gossip apply for one kGossipUpdates message: the scattered and
+  /// shard-ownership filters, settle_records, then apply_with_holds for the
+  /// accepted records. Returns accepted flags, index-aligned.
   std::vector<bool> apply_gossip_batch(
-      const std::vector<std::pair<WriteRecord, obs::TraceContext>>& records, NodeId from);
+      const std::vector<std::pair<WriteRecord, obs::TraceContext>>& records);
 
   /// Applies a validated record, honoring §5.3 causal holds, then releases
   /// any transitively unblocked held writes. Returns true if the record
@@ -318,12 +335,6 @@ class SecureStoreServer {
   /// Sampled traces that appended to the WAL since the last commit; each
   /// gets a `server.wal.commit` span when the commit runs.
   std::vector<obs::TraceContext> commit_traces_;
-  /// Batch pre-verification verdict for the kWrite currently dispatching
-  /// through handle_request: set (to the record's full validity) by
-  /// handle_request_batch, consulted by handle_write instead of a scalar
-  /// validate_record. Unset for requests the batch pre-pass did not
-  /// settle.
-  std::optional<bool> prevalidated_write_;
   std::unique_ptr<storage::StorageEngine> items_;
   storage::ContextStore contexts_;
   storage::HoldQueue holds_;

@@ -76,6 +76,16 @@ BatchVerifyResult ed25519_batch_verify(const std::vector<BatchVerifyItem>& items
   // regardless of how the batch amortizes the point arithmetic.
   CryptoMeter::instance().verifies += items.size();
 
+  // A batch of one amortizes nothing: the single check is the same
+  // equation without the coefficient hashing, and callers never need to
+  // special-case it.
+  if (items.size() == 1) {
+    const BatchVerifyItem& item = items.front();
+    result.all_valid = ed25519_verify(item.public_key, item.message, item.signature);
+    result.valid[0] = result.all_valid;
+    return result;
+  }
+
   // Pass 1: structural checks (sizes, canonical S, decompressible A and R)
   // and per-item challenge k_i = SHA512(R || A || M) mod L. Structural
   // failures are definitively invalid and simply stay out of the sum; they

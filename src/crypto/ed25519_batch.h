@@ -59,8 +59,9 @@ struct BatchVerifyResult {
 
 /// Verifies a batch of Ed25519 signatures. Agrees with ed25519_verify on
 /// every item (malformed keys/points/scalars included); an empty batch is
-/// trivially all-valid. Each checked signature is metered as one verify on
-/// the CryptoMeter, same as the single-signature path.
+/// trivially all-valid, and a batch of one is checked by ed25519_verify
+/// itself (never `used_fallback`). Each checked signature is metered as one
+/// verify on the CryptoMeter, same as the single-signature path.
 BatchVerifyResult ed25519_batch_verify(const std::vector<BatchVerifyItem>& items);
 
 }  // namespace securestore::crypto

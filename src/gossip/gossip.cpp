@@ -8,7 +8,8 @@
 namespace securestore::gossip {
 
 GossipEngine::GossipEngine(net::RpcNode& node, const storage::StorageEngine& store,
-                           std::vector<NodeId> peers, Config config, Rng rng, ApplyFn apply)
+                           std::vector<NodeId> peers, Config config, Rng rng,
+                           ApplyBatchFn apply)
     : node_(node),
       store_(store),
       peers_(std::move(peers)),
@@ -186,19 +187,12 @@ void GossipEngine::handle(NodeId from, net::MsgType type, BytesView body) {
       }
       case net::MsgType::kGossipUpdates: {
         const auto updates = decode_updates(body);
-        // Multi-record messages go through the batch apply path when one is
-        // installed, so the owner verifies all writer signatures as one
-        // Ed25519 batch. The accounting below is identical either way.
-        std::vector<bool> accepted;
-        if (apply_batch_ && updates.size() > 1) {
-          accepted = apply_batch_(updates, from);
-          // A short result vector rejects the tail — never accept a record
-          // the owner did not explicitly vouch for.
-          accepted.resize(updates.size(), false);
-        } else {
-          accepted.reserve(updates.size());
-          for (const auto& [record, ctx] : updates) accepted.push_back(apply_(record, from));
-        }
+        // One call per message, whatever its size, so the owner verifies
+        // all writer signatures as one Ed25519 batch.
+        std::vector<bool> accepted = apply_(updates, from);
+        // A short result vector rejects the tail — never accept a record
+        // the owner did not explicitly vouch for.
+        accepted.resize(updates.size(), false);
         for (std::size_t i = 0; i < updates.size(); ++i) {
           const auto& [record, ctx] = updates[i];
           records_received_.inc();

@@ -48,20 +48,15 @@ class GossipEngine {
     std::string metric_suffix;
   };
 
-  /// Applies an incoming record to the owner's store: verify writer
-  /// signature, run causal-hold logic, etc. Returns true if the record was
-  /// accepted (valid signature), false if rejected.
-  using ApplyFn = std::function<bool(const core::WriteRecord& record, NodeId from)>;
-
-  /// Batch variant: applies every record of one kGossipUpdates message in a
-  /// single call so the owner can verify the writer signatures as one
-  /// Ed25519 batch. Returns one accepted/rejected flag per record,
-  /// index-aligned with the input.
+  /// Applies every record of one kGossipUpdates message to the owner's
+  /// store in a single call: verify the writer signatures (as one Ed25519
+  /// batch), run causal-hold logic, etc. Returns one accepted/rejected flag
+  /// per record, index-aligned with the input.
   using ApplyBatchFn = std::function<std::vector<bool>(
       const std::vector<std::pair<core::WriteRecord, obs::TraceContext>>& records, NodeId from)>;
 
   GossipEngine(net::RpcNode& node, const storage::StorageEngine& store,
-               std::vector<NodeId> peers, Config config, Rng rng, ApplyFn apply);
+               std::vector<NodeId> peers, Config config, Rng rng, ApplyBatchFn apply);
   ~GossipEngine();
 
   GossipEngine(const GossipEngine&) = delete;
@@ -72,12 +67,6 @@ class GossipEngine {
   /// Stops future ticks (in-flight messages still deliver).
   void stop();
   bool running() const { return running_; }
-
-  /// Optional: installs the batch apply path. Multi-record kGossipUpdates
-  /// messages then go through `apply_batch` instead of per-record
-  /// `apply_`; single-record messages keep using `apply_` (a batch of one
-  /// amortizes nothing).
-  void set_apply_batch(ApplyBatchFn apply_batch) { apply_batch_ = std::move(apply_batch); }
 
   /// Sharded deployments (DESIGN.md §11): when set, every tick also offers
   /// the supplier's serialized signed ring state to the tick's peers as a
@@ -140,8 +129,7 @@ class GossipEngine {
   std::vector<NodeId> peers_;
   Config config_;
   Rng rng_;
-  ApplyFn apply_;
-  ApplyBatchFn apply_batch_;
+  ApplyBatchFn apply_;
   RingSupplier ring_supplier_;
   RingHandler on_ring_;
   // Anti-entropy accounting (handles into the transport's registry).

@@ -183,7 +183,7 @@ void Executor::drain_endpoint(const std::shared_ptr<Endpoint>& endpoint) {
   // schedules the next drain, so nothing published is ever stranded.
   endpoint->drain_pending.store(false, std::memory_order_release);
 
-  std::vector<Delivery> batch;
+  std::vector<Delivery>& batch = endpoint->batch;
   endpoint->ring.drain(batch, max_batch_.load(std::memory_order_relaxed));
   if (!batch.empty()) {
     Transport::BatchDeliverFn handler;
@@ -203,6 +203,7 @@ void Executor::drain_endpoint(const std::shared_ptr<Endpoint>& endpoint) {
       }
     }
     if (handler) handler(batch);
+    batch.clear();
   }
 
   // A capped drain can leave entries behind with no producer left to wake

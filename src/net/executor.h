@@ -118,6 +118,9 @@ class Executor {
     Transport::BatchDeliverFn deliver;  // guarded by handlers_mutex_
     bool registered = true;             // guarded by handlers_mutex_
     std::atomic<bool> drain_pending{false};
+    /// The drain's batch, reused across drains so a wakeup allocates
+    /// nothing. Touched only by the dispatch thread.
+    std::vector<Delivery> batch;
   };
 
   /// False when the executor is stopping (the job will never run).

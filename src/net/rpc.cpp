@@ -140,16 +140,14 @@ void RpcNode::handle_response(NodeId from, const Parsed& msg) {
 }
 
 void RpcNode::deliver_batch(std::vector<Delivery>& batch) {
-  // Responses and one-ways are processed inline, in arrival order. With a
-  // batch handler installed, requests are lifted out and handed to it in
-  // one call after the loop (so the server can batch-verify their
-  // signatures); reordering a response ahead of a request from the same
-  // wakeup is harmless, they address independent state (pending rpc table
-  // vs server handlers). Without one, each request is handled inline.
-  // Either way every response waits for the commit hook.
+  // Responses and one-ways are processed inline, in arrival order.
+  // Requests are lifted out and handed to the request handler in one call
+  // after the loop (so the server can batch-verify their signatures);
+  // reordering a response ahead of a request from the same wakeup is
+  // harmless, they address independent state (pending rpc table vs server
+  // handlers). Every response waits for the commit hook.
   std::vector<IncomingRequest> requests;
-  std::vector<std::optional<std::pair<MsgType, Bytes>>> responses;
-  std::vector<std::pair<NodeId, std::uint64_t>> reply_to;  // index-aligned with responses
+  std::vector<std::uint64_t> rpc_ids;  // index-aligned with requests
   bool handled = false;  // a request or one-way ran: the batch has a commit point
   for (Delivery& d : batch) {
     auto parsed = parse_envelope(d.payload);
@@ -157,17 +155,9 @@ void RpcNode::deliver_batch(std::vector<Delivery>& batch) {
     Parsed& msg = *parsed;
     switch (msg.kind) {
       case Kind::kRequest:
-        if (batch_request_handler_) {
-          requests.push_back(
-              IncomingRequest{d.from, msg.type, std::move(msg.body), msg.trace});
-        } else if (request_handler_) {
-          incoming_trace_ = msg.trace;
-          responses.push_back(request_handler_(d.from, msg.type, msg.body));
-          incoming_trace_ = obs::TraceContext{};
-        } else {
-          break;
-        }
-        reply_to.emplace_back(d.from, msg.rpc_id);
+        if (!batch_request_handler_) break;
+        requests.push_back(IncomingRequest{d.from, msg.type, std::move(msg.body), msg.trace});
+        rpc_ids.push_back(msg.rpc_id);
         handled = true;
         break;
       case Kind::kResponse:
@@ -186,20 +176,21 @@ void RpcNode::deliver_batch(std::vector<Delivery>& batch) {
   // A batch of responses alone has nothing to commit, and its callbacks may
   // have destroyed this node's owner: touch no member after them.
   if (!handled) return;
+  std::vector<std::optional<std::pair<MsgType, Bytes>>> responses;
   if (!requests.empty()) responses = batch_request_handler_(requests);
 
   if (commit_hook_) commit_hook_();
 
-  for (std::size_t i = 0; i < reply_to.size(); ++i) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     // A short result vector means "no response" for the tail — same
     // semantics as a nullopt entry.
     if (i >= responses.size() || !responses[i].has_value()) continue;
     Writer w;
     w.u8(static_cast<std::uint8_t>(Kind::kResponse));
-    w.u64(reply_to[i].second);
+    w.u64(rpc_ids[i]);
     w.u16(static_cast<std::uint16_t>(responses[i]->first));
     w.raw(responses[i]->second);
-    transport_.send(id_, reply_to[i].first, w.take());
+    transport_.send(id_, requests[i].from, w.take());
   }
 }
 

@@ -84,15 +84,12 @@ class RpcNode {
  public:
   /// Response callback: sender, response type, body.
   using ResponseFn = std::function<void(NodeId from, MsgType type, BytesView body)>;
-  /// Request handler: returns the response (type, body), or nullopt for no
-  /// response (the rpc will time out at the caller — how a server "chooses
-  /// not to respond").
-  using RequestHandler =
-      std::function<std::optional<std::pair<MsgType, Bytes>>(NodeId from, MsgType type, BytesView body)>;
-  /// Batched request handler: every request the transport had pending at
-  /// one dispatch wakeup, in arrival order. Returns one entry per request
-  /// (index-aligned; nullopt = stay silent). Servers install this to
-  /// amortize per-request costs — one Ed25519 batch verification per
+  /// Request handler: every request the transport had pending at one
+  /// dispatch wakeup, in arrival order (a batch of one when nothing else
+  /// was pending). Returns one response (type, body) per request,
+  /// index-aligned; nullopt means no response (the rpc will time out at the
+  /// caller — how a server "chooses not to respond"). Servers use the batch
+  /// to amortize per-request costs — one Ed25519 batch verification per
   /// wakeup instead of one scalar verification per request.
   using BatchRequestHandler = std::function<std::vector<std::optional<std::pair<MsgType, Bytes>>>(
       std::vector<IncomingRequest>& batch)>;
@@ -111,10 +108,9 @@ class RpcNode {
   Transport& transport() { return transport_; }
   const Transport& transport() const { return transport_; }
 
-  void set_request_handler(RequestHandler handler) { request_handler_ = std::move(handler); }
-  /// When set, requests arriving in one transport delivery batch are handed
-  /// to this handler in a single call, after the batch's responses and
-  /// one-ways, instead of one `RequestHandler` call each in arrival order.
+  /// Requests arriving in one transport delivery batch are handed to this
+  /// handler in a single call, after the batch's responses and one-ways.
+  /// Without a handler, requests are dropped unanswered.
   void set_batch_request_handler(BatchRequestHandler handler) {
     batch_request_handler_ = std::move(handler);
   }
@@ -142,9 +138,10 @@ class RpcNode {
   /// Fire-and-forget message.
   void send_oneway(NodeId to, MsgType type, Bytes body, const obs::TraceContext& trace = {});
 
-  /// The (sanitized) trace context of the message whose request/oneway
-  /// handler is currently executing; invalid outside handler invocation.
-  /// Handlers parent their server-side spans to this. Never trusted
+  /// The (sanitized) trace context of the one-way whose handler is
+  /// currently executing; invalid outside handler invocation. Handlers
+  /// parent their server-side spans to this (requests carry theirs in
+  /// `IncomingRequest::trace`). Never trusted
   /// blindly: malformed or oversized contexts are counted
   /// (`rpc.trace_ctx_malformed`) and stripped before the handler runs, and
   /// unknown flag bits are cleared, so a Byzantine peer cannot inflate
@@ -187,7 +184,6 @@ class RpcNode {
   NodeId id_;
   std::uint64_t next_rpc_id_;  // randomized at construction
   std::unordered_map<std::uint64_t, PendingRpc> pending_;
-  RequestHandler request_handler_;
   BatchRequestHandler batch_request_handler_;
   OnewayHandler oneway_handler_;
   CommitHook commit_hook_;

@@ -47,10 +47,19 @@ SecureStoreClient::Options client_options() {
 /// The real server object still exists but no longer receives messages.
 /// The returned node must outlive the client operations and die before the
 /// cluster (declare it after the Cluster in the test).
-[[nodiscard]] std::unique_ptr<net::RpcNode> hijack_server0(
-    Cluster& cluster, net::RpcNode::RequestHandler handler) {
+/// `respond` answers each request, in arrival order.
+using Responder = std::function<std::optional<std::pair<net::MsgType, Bytes>>(
+    NodeId from, net::MsgType type, BytesView body)>;
+[[nodiscard]] std::unique_ptr<net::RpcNode> hijack_server0(Cluster& cluster, Responder respond) {
   auto hijacker = std::make_unique<net::RpcNode>(cluster.transport(), NodeId{0});
-  hijacker->set_request_handler(std::move(handler));
+  hijacker->set_batch_request_handler(
+      [respond = std::move(respond)](std::vector<net::IncomingRequest>& batch) {
+        std::vector<std::optional<std::pair<net::MsgType, Bytes>>> out;
+        for (const net::IncomingRequest& request : batch) {
+          out.push_back(respond(request.from, request.type, request.body));
+        }
+        return out;
+      });
   return hijacker;
 }
 

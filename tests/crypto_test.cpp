@@ -814,6 +814,37 @@ TEST(Ed25519Batch, AgreesWithSingleVerifyOnSmallOrderAndNonCanonicalInputs) {
   }
 }
 
+TEST(Ed25519Batch, BatchOfOneIsTheSingleVerify) {
+  // Callers hand every record gate's survivors to the batch verifier, one
+  // or many: a batch of one must give ed25519_verify's verdict, meter one
+  // verify and never take the fallback pass.
+  Rng rng(705);
+  std::vector<HostileItem> cases = hostile_items(rng);
+  const SignedBatch honest = make_signed_batch(rng, 2);
+  cases.push_back({honest.pairs[0].public_key, honest.messages[0], honest.signatures[0]});
+  HostileItem tampered{honest.pairs[1].public_key, honest.messages[1], honest.signatures[1]};
+  tampered.signature[7] ^= 0x20;
+  cases.push_back(tampered);
+
+  auto& meter = CryptoMeter::instance();
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const HostileItem& item = cases[i];
+    const bool single = ed25519_verify(item.public_key, item.message, item.signature);
+    const std::uint64_t before = meter.verifies;
+    const BatchVerifyResult result =
+        ed25519_batch_verify({{item.public_key, item.message, item.signature}});
+    EXPECT_EQ(meter.verifies - before, 1u) << "case " << i;
+    ASSERT_EQ(result.valid.size(), 1u);
+    EXPECT_EQ(result.valid[0], single) << "case " << i;
+    EXPECT_EQ(result.all_valid, single) << "case " << i;
+    EXPECT_FALSE(result.used_fallback) << "case " << i;
+    accepted += single ? 1 : 0;
+  }
+  // 16 small-order items and the honest one verify; the rest do not.
+  EXPECT_EQ(accepted, 17u);
+}
+
 // ---------------------------------------------------------------------------
 // curve25519 field arithmetic (shared by Ed25519 and X25519)
 // ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/sync.h"
+#include "crypto/keys.h"
 #include "testkit/cluster.h"
+#include "testkit/sharded_cluster.h"
 #include "util/serial.h"
 
 namespace securestore {
@@ -172,35 +174,94 @@ TEST(Gossip, DigestExchangeIsBidirectional) {
   EXPECT_NE(cluster.server(1).store().current(ItemId{1}), nullptr);
 }
 
-TEST(Gossip, BadSignatureInBatchRejectsOnlyThatRecord) {
-  // Byzantine peer slips one forged record into a multi-record update. The
-  // batch verify path must fall back per-record: honest records apply, the
-  // forged one is rejected and counted — one bad signature cannot poison
-  // the batch (or sneak through under its cover).
-  ClusterOptions options;
+// ---------------------------------------------------------------------------
+// The record gate: a gossiped record is judged the same way whatever the
+// size of the message it arrives in. Every rejection kind is sent alone and
+// between two honest records; the verdicts, the counters and the crypto
+// spent must match, and a record failing a cheap check costs no signature
+// check.
+// ---------------------------------------------------------------------------
+
+enum class Defect { kScattered, kForeignShard, kUnknownWriter, kBadStructure, kBadDigest,
+                    kBadSignature };
+
+struct GateCase {
+  Defect defect;
+  std::size_t records;  // 1: the bad record alone; 3: between two honest ones
+};
+
+std::string defect_name(Defect defect) {
+  switch (defect) {
+    case Defect::kScattered: return "Scattered";
+    case Defect::kForeignShard: return "ForeignShard";
+    case Defect::kUnknownWriter: return "UnknownWriter";
+    case Defect::kBadStructure: return "BadStructure";
+    case Defect::kBadDigest: return "BadDigest";
+    case Defect::kBadSignature: return "BadSignature";
+  }
+  return "?";
+}
+
+class GossipGate : public ::testing::TestWithParam<GateCase> {};
+
+TEST_P(GossipGate, BadRecordIsRejectedAloneAtEveryMessageSize) {
+  const GateCase param = GetParam();
+  // Two shards of two servers, so a record can belong to a foreign shard.
+  testkit::ShardedClusterOptions options;
+  options.groups = 2;
   options.n = 2;
   options.b = 0;
   options.start_gossip = false;
-  Cluster cluster(options);
-  cluster.set_group_policy(mrc_policy());
+  testkit::ShardedCluster cluster(options);
+  GroupId own{};
+  GroupId foreign{};
+  for (std::uint64_t g = 1; own.value == 0 || foreign.value == 0; ++g) {
+    (cluster.shard_for(GroupId{g}) == 0 ? own : foreign) = GroupId{g};
+  }
+  for (const GroupId group : {own, foreign}) {
+    cluster.set_group_policy(
+        GroupPolicy{group, ConsistencyModel::kMRC, SharingMode::kSingleWriter,
+                    core::ClientTrust::kHonest});
+  }
+  const crypto::KeyPair& writer = cluster.client_keys(ClientId{1});
+  const auto make = [&](ItemId item, const char* value) {
+    core::WriteRecord record;
+    record.item = item;
+    record.group = own;
+    record.writer = ClientId{1};
+    record.ts.time = 1;
+    record.value = to_bytes(value);
+    return record;
+  };
 
-  auto client = cluster.make_client(ClientId{1}, client_options());
-  SyncClient sync(*client, cluster.scheduler());
-  client->set_server_preference({NodeId{0}, NodeId{1}});
-  ASSERT_TRUE(sync.write(ItemId{1}, to_bytes("good one")).ok());
-  ASSERT_TRUE(sync.write(ItemId{2}, to_bytes("to be forged")).ok());
-  ASSERT_TRUE(sync.write(ItemId{3}, to_bytes("good two")).ok());
-  // b = 0: the writes land only on the preferred server 0.
-  ASSERT_EQ(cluster.server(1).store().current(ItemId{1}), nullptr);
+  core::WriteRecord bad = make(ItemId{2}, "bad");
+  switch (param.defect) {
+    case Defect::kScattered:
+      bad.flags = core::kScattered;
+      break;
+    case Defect::kForeignShard:
+      bad.group = foreign;
+      break;
+    case Defect::kUnknownWriter:
+      bad.writer = ClientId{77};  // not in the deployment's key directory
+      break;
+    case Defect::kBadStructure:
+      bad.model = ConsistencyModel::kCC;  // the group's policy is MRC
+      break;
+    default:
+      break;
+  }
+  bad.sign(writer);
+  if (param.defect == Defect::kBadDigest) bad.value = to_bytes("swapped after signing");
+  if (param.defect == Defect::kBadSignature) bad.signature[0] ^= 0x01;
 
   std::vector<core::WriteRecord> records;
-  for (const ItemId item : {ItemId{1}, ItemId{2}, ItemId{3}}) {
-    const core::WriteRecord* record = cluster.server(0).store().current(item);
-    ASSERT_NE(record, nullptr);
-    records.push_back(*record);
+  if (param.records == 3) records.push_back(make(ItemId{1}, "good one"));
+  records.push_back(bad);
+  if (param.records == 3) records.push_back(make(ItemId{3}, "good two"));
+  for (core::WriteRecord& record : records) {
+    if (record.item != bad.item) record.sign(writer);
   }
-  records[1].signature[0] ^= 0x01;
-
   Writer w;
   w.u32(static_cast<std::uint32_t>(records.size()));
   for (const core::WriteRecord& record : records) {
@@ -209,24 +270,52 @@ TEST(Gossip, BadSignatureInBatchRejectsOnlyThatRecord) {
   }
   const Bytes body = w.take();
 
-  auto& received = cluster.registry().counter("gossip.records_received");
-  auto& rejected = cluster.registry().counter("gossip.records_rejected");
+  auto& received = cluster.registry().counter("gossip.records_received{shard=0}");
+  auto& rejected = cluster.registry().counter("gossip.records_rejected{shard=0}");
   const std::uint64_t received_before = received.value();
   const std::uint64_t rejected_before = rejected.value();
+  const crypto::CryptoMeter meter_before = crypto::CryptoMeter::instance();
 
-  cluster.server(1).gossip().handle(NodeId{0}, net::MsgType::kGossipUpdates, body);
+  core::SecureStoreServer& server = cluster.group(0).server(0);
+  server.gossip().handle(NodeId{100}, net::MsgType::kGossipUpdates, body);
 
-  const core::WriteRecord* good_one = cluster.server(1).store().current(ItemId{1});
-  const core::WriteRecord* forged = cluster.server(1).store().current(ItemId{2});
-  const core::WriteRecord* good_two = cluster.server(1).store().current(ItemId{3});
-  ASSERT_NE(good_one, nullptr);
-  EXPECT_EQ(to_string(good_one->value), "good one");
-  EXPECT_EQ(forged, nullptr);
-  ASSERT_NE(good_two, nullptr);
-  EXPECT_EQ(to_string(good_two->value), "good two");
-  EXPECT_EQ(received.value() - received_before, 3u);
+  EXPECT_EQ(server.store().current(bad.item), nullptr);
+  for (const core::WriteRecord& record : records) {
+    if (record.item == bad.item) continue;
+    const core::WriteRecord* stored = server.store().current(record.item);
+    ASSERT_NE(stored, nullptr);
+    EXPECT_EQ(stored->value, record.value);
+  }
+  EXPECT_EQ(received.value() - received_before, param.records);
   EXPECT_EQ(rejected.value() - rejected_before, 1u);
+  // The gate's order: only a record that passed the key, structure and
+  // digest checks reaches the signature check, and only one that passed
+  // the filters in front reaches the digest.
+  const crypto::CryptoMeter& meter = crypto::CryptoMeter::instance();
+  const bool digested =
+      param.defect == Defect::kBadDigest || param.defect == Defect::kBadSignature;
+  EXPECT_EQ(meter.verifies - meter_before.verifies,
+            param.records - 1 + (param.defect == Defect::kBadSignature ? 1 : 0));
+  EXPECT_EQ(meter.digests - meter_before.digests, param.records - 1 + (digested ? 1 : 0));
 }
+
+std::vector<GateCase> gate_cases() {
+  std::vector<GateCase> cases;
+  for (const Defect defect :
+       {Defect::kScattered, Defect::kForeignShard, Defect::kUnknownWriter,
+        Defect::kBadStructure, Defect::kBadDigest, Defect::kBadSignature}) {
+    for (const std::size_t records : {std::size_t{1}, std::size_t{3}}) {
+      cases.push_back({defect, records});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Gossip, GossipGate, ::testing::ValuesIn(gate_cases()),
+                         [](const ::testing::TestParamInfo<GateCase>& info) {
+                           return defect_name(info.param.defect) + "In" +
+                                  std::to_string(info.param.records);
+                         });
 
 TEST(Gossip, DuplicatedDigestItemIsJudgedByItsFirstEntry) {
   // A digest that names an item twice (a faulty or Byzantine peer) is read

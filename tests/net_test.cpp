@@ -15,6 +15,19 @@
 namespace securestore::net {
 namespace {
 
+/// Installs a request handler that answers each request of a delivered
+/// batch with `answer(from, type, body)`, in batch order.
+template <typename Answer>
+void serve_each(RpcNode& node, Answer answer) {
+  node.set_batch_request_handler([answer](std::vector<IncomingRequest>& batch) mutable {
+    std::vector<std::optional<std::pair<MsgType, Bytes>>> out;
+    for (const IncomingRequest& request : batch) {
+      out.push_back(answer(request.from, request.type, request.body));
+    }
+    return out;
+  });
+}
+
 struct Harness {
   sim::Scheduler scheduler;
   SimTransport transport;
@@ -163,7 +176,7 @@ TEST(Rpc, RequestResponse) {
   RpcNode server(h.transport, NodeId{0});
   RpcNode client(h.transport, NodeId{1});
 
-  server.set_request_handler([](NodeId, MsgType type, BytesView body) {
+  serve_each(server, [](NodeId, MsgType type, BytesView body) {
     EXPECT_EQ(type, MsgType::kRead);
     Bytes echoed(body.begin(), body.end());
     echoed.push_back('!');
@@ -186,8 +199,7 @@ TEST(Rpc, HandlerReturningNulloptMeansSilence) {
   Harness h;
   RpcNode server(h.transport, NodeId{0});
   RpcNode client(h.transport, NodeId{1});
-  server.set_request_handler(
-      [](NodeId, MsgType, BytesView) -> std::optional<std::pair<MsgType, Bytes>> {
+  serve_each(server, [](NodeId, MsgType, BytesView) -> std::optional<std::pair<MsgType, Bytes>> {
         return std::nullopt;
       });
 
@@ -202,7 +214,7 @@ TEST(Rpc, CancelledRpcIgnoresLateResponse) {
   Harness h;
   RpcNode server(h.transport, NodeId{0});
   RpcNode client(h.transport, NodeId{1});
-  server.set_request_handler([](NodeId, MsgType, BytesView) {
+  serve_each(server, [](NodeId, MsgType, BytesView) {
     return std::make_optional(std::make_pair(MsgType::kAck, Bytes{}));
   });
 
@@ -332,45 +344,27 @@ Delivery oneway_envelope(NodeId from) {
 }
 
 TEST(Rpc, CommitHookRunsOncePerBatchAfterHandlersBeforeResponses) {
-  // Both request-handler styles: every handler of the batch runs, then the
+  // One-ways run inline, the batch's requests in one handler call, then the
   // commit hook exactly once, then the responses leave.
-  for (const bool batched : {true, false}) {
-    SCOPED_TRACE(batched ? "batch handler" : "per-message handler");
-    std::vector<std::string> log;
-    ManualBatchTransport transport(log);
-    RpcNode server(transport, NodeId{0});
-    const auto answer = std::make_optional(std::make_pair(MsgType::kWrite, Bytes{}));
-    if (batched) {
-      server.set_batch_request_handler([&](std::vector<IncomingRequest>& batch) {
-        std::vector<std::optional<std::pair<MsgType, Bytes>>> out;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          log.push_back("request");
-          out.push_back(answer);
-        }
-        return out;
-      });
-    } else {
-      server.set_request_handler([&](NodeId, MsgType, BytesView) {
-        log.push_back("request");
-        return answer;
-      });
-    }
-    server.set_oneway_handler([&](NodeId, MsgType, BytesView) { log.push_back("oneway"); });
-    server.set_commit_hook([&] { log.push_back("commit"); });
+  std::vector<std::string> log;
+  ManualBatchTransport transport(log);
+  RpcNode server(transport, NodeId{0});
+  serve_each(server, [&](NodeId, MsgType, BytesView) {
+    log.push_back("request");
+    return std::make_optional(std::make_pair(MsgType::kWrite, Bytes{}));
+  });
+  server.set_oneway_handler([&](NodeId, MsgType, BytesView) { log.push_back("oneway"); });
+  server.set_commit_hook([&] { log.push_back("commit"); });
 
-    transport.deliver(NodeId{0}, {request_envelope(NodeId{1}, 7), oneway_envelope(NodeId{2}),
-                                  request_envelope(NodeId{3}, 8), oneway_envelope(NodeId{2})});
-    std::vector<std::string> expected =
-        batched ? std::vector<std::string>{"oneway", "oneway", "request", "request"}
-                : std::vector<std::string>{"request", "oneway", "request", "oneway"};
-    expected.insert(expected.end(), {"commit", "send", "send"});
-    EXPECT_EQ(log, expected);
+  transport.deliver(NodeId{0}, {request_envelope(NodeId{1}, 7), oneway_envelope(NodeId{2}),
+                                request_envelope(NodeId{3}, 8), oneway_envelope(NodeId{2})});
+  EXPECT_EQ(log, (std::vector<std::string>{"oneway", "oneway", "request", "request", "commit",
+                                           "send", "send"}));
 
-    // A batch of one-ways alone still reaches the commit point once.
-    log.clear();
-    transport.deliver(NodeId{0}, {oneway_envelope(NodeId{2}), oneway_envelope(NodeId{3})});
-    EXPECT_EQ(log, (std::vector<std::string>{"oneway", "oneway", "commit"}));
-  }
+  // A batch of one-ways alone still reaches the commit point once.
+  log.clear();
+  transport.deliver(NodeId{0}, {oneway_envelope(NodeId{2}), oneway_envelope(NodeId{3})});
+  EXPECT_EQ(log, (std::vector<std::string>{"oneway", "oneway", "commit"}));
 }
 
 TEST(Rpc, CommitHookRunsPerMessageOnTheBatchOfOneAdapter) {
@@ -399,7 +393,7 @@ TEST(Rpc, MalformedDatagramIgnored) {
   Harness h;
   RpcNode receiver(h.transport, NodeId{1});
   bool crashed = false;
-  receiver.set_request_handler([&](NodeId, MsgType, BytesView) {
+  serve_each(receiver, [&](NodeId, MsgType, BytesView) {
     crashed = true;
     return std::make_optional(std::make_pair(MsgType::kAck, Bytes{}));
   });
@@ -465,7 +459,7 @@ TEST(Quorum, SynchronousReplyDoesNotLeakPendingRpcs) {
   std::atomic<int> requests_seen{0};
   for (std::uint32_t i = 0; i < 3; ++i) {
     servers.push_back(std::make_unique<RpcNode>(transport, NodeId{i}));
-    servers.back()->set_request_handler([&requests_seen](NodeId, MsgType, BytesView) {
+    serve_each(*servers.back(), [&requests_seen](NodeId, MsgType, BytesView) {
       ++requests_seen;
       return std::make_optional(std::make_pair(MsgType::kAck, Bytes{}));
     });
@@ -497,7 +491,7 @@ TEST(Quorum, SynchronousExhaustionDrainsPending) {
   std::vector<std::unique_ptr<RpcNode>> servers;
   for (std::uint32_t i = 0; i < 3; ++i) {
     servers.push_back(std::make_unique<RpcNode>(transport, NodeId{i}));
-    servers.back()->set_request_handler([](NodeId, MsgType, BytesView) {
+    serve_each(*servers.back(), [](NodeId, MsgType, BytesView) {
       return std::make_optional(std::make_pair(MsgType::kAck, Bytes{}));
     });
   }
@@ -524,7 +518,7 @@ TEST(Quorum, SatisfiedCallReleasesStateBeforeTimeout) {
   // released immediately, not pinned until the timer fires.
   InlineTransport transport;
   RpcNode server(transport, NodeId{0});
-  server.set_request_handler([](NodeId, MsgType, BytesView) {
+  serve_each(server, [](NodeId, MsgType, BytesView) {
     return std::make_optional(std::make_pair(MsgType::kAck, Bytes{}));
   });
   RpcNode client(transport, NodeId{100});
@@ -546,7 +540,7 @@ TEST(Quorum, SatisfiedWhenPredicateAccepts) {
   std::vector<std::unique_ptr<RpcNode>> servers;
   for (std::uint32_t i = 0; i < 4; ++i) {
     servers.push_back(std::make_unique<RpcNode>(h.transport, NodeId{i}));
-    servers.back()->set_request_handler([i](NodeId, MsgType, BytesView) {
+    serve_each(*servers.back(), [i](NodeId, MsgType, BytesView) {
       Writer w;
       w.u32(i);
       return std::make_optional(std::make_pair(MsgType::kAck, w.take()));
@@ -571,7 +565,7 @@ TEST(Quorum, SatisfiedWhenPredicateAccepts) {
 TEST(Quorum, ExhaustedWhenAllReplyWithoutAcceptance) {
   Harness h;
   RpcNode server(h.transport, NodeId{0});
-  server.set_request_handler([](NodeId, MsgType, BytesView) {
+  serve_each(server, [](NodeId, MsgType, BytesView) {
     return std::make_optional(std::make_pair(MsgType::kAck, Bytes{}));
   });
   RpcNode client(h.transport, NodeId{100});
@@ -623,7 +617,7 @@ TEST(Quorum, DuplicateTargetEntriesCountDistinctResponders) {
   std::vector<std::unique_ptr<RpcNode>> servers;
   for (std::uint32_t i = 0; i < 2; ++i) {
     servers.push_back(std::make_unique<RpcNode>(h.transport, NodeId{i}));
-    servers.back()->set_request_handler([](NodeId, MsgType, BytesView) {
+    serve_each(*servers.back(), [](NodeId, MsgType, BytesView) {
       return std::make_optional(std::make_pair(MsgType::kAck, Bytes{}));
     });
   }
@@ -660,7 +654,7 @@ TEST(Quorum, DuplicatedFramesCannotFakeAQuorum) {
   chaotic.set_default_rule(duplicate_everything);
 
   RpcNode server(chaotic, NodeId{0});
-  server.set_request_handler([](NodeId, MsgType, BytesView) {
+  serve_each(server, [](NodeId, MsgType, BytesView) {
     return std::make_optional(std::make_pair(MsgType::kAck, Bytes{}));
   });
   RpcNode client(chaotic, NodeId{100});
@@ -682,7 +676,7 @@ TEST(Quorum, DuplicatedFramesCannotFakeAQuorum) {
 TEST(Quorum, DoneFiresExactlyOnce) {
   Harness h;
   RpcNode server(h.transport, NodeId{0});
-  server.set_request_handler([](NodeId, MsgType, BytesView) {
+  serve_each(server, [](NodeId, MsgType, BytesView) {
     return std::make_optional(std::make_pair(MsgType::kAck, Bytes{}));
   });
   RpcNode client(h.transport, NodeId{100});

@@ -430,8 +430,9 @@ TEST(ObsDrops, ExpiredRpcResponseIsCounted) {
   net::SimTransport transport(scheduler, sim::NetworkModel(Rng(1), sim::lan_profile()));
 
   net::RpcNode server(transport, NodeId{0});
-  server.set_request_handler([](NodeId, net::MsgType, BytesView) {
-    return std::make_optional(std::make_pair(net::MsgType::kAck, to_bytes("late")));
+  server.set_batch_request_handler([](std::vector<net::IncomingRequest>& batch) {
+    return std::vector<std::optional<std::pair<net::MsgType, Bytes>>>(
+        batch.size(), std::make_pair(net::MsgType::kAck, to_bytes("late")));
   });
   net::RpcNode client(transport, NodeId{1});
 

@@ -354,7 +354,7 @@ TEST(Overload, BreakerTripsAndServerRejoinsAfterCooldown) {
   cluster.run_for(milliseconds(400));  // > breaker_cooldown
 
   bool recovered = false;
-  for (int i = 0; i < 5 && !recovered; ++i) {
+  for (std::uint64_t i = 0; i < 5 && !recovered; ++i) {
     recovered = sync.write(ItemId{120 + i}, to_bytes("calm")).ok();
   }
   EXPECT_TRUE(recovered) << "servers never rejoined after the cooldown";

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sync.h"
+#include "crypto/keys.h"
 #include "testkit/cluster.h"
 
 namespace securestore {
@@ -586,6 +587,66 @@ TEST(SecureStore, AuthorizationEnforced) {
   ASSERT_FALSE(overreach.ok());
   EXPECT_EQ(overreach.error(), Error::kInsufficientQuorum) << error_name(overreach.error());
   EXPECT_TRUE(reader_sync.read_value(kX1).ok());
+}
+
+TEST(SecureStore, WriteBatchGivesEachRecordItsOwnVerdict) {
+  // Five kWrite requests reach server 0 in ONE delivery batch (same-instant
+  // arrivals over a jitter-free link): an undecodable body, a record whose
+  // value does not match its digest, a record with a bad signature and two
+  // honest records. The undecodable one gets silence, the two bad records
+  // a reject, the honest ones an ack; the bad-digest record is turned away
+  // before the batch's one signature check, so it costs no verify.
+  ClusterOptions options;
+  options.start_gossip = false;
+  options.link = sim::LinkProfile{milliseconds(1), 0, 0.0};
+  Cluster cluster(options);
+  cluster.set_group_policy(mrc_policy());
+  const crypto::KeyPair& writer = cluster.client_keys(ClientId{1});
+  const auto write_body = [&](ItemId item, const char* value, auto&& spoil) {
+    core::WriteReq req;
+    req.record.item = item;
+    req.record.group = kGroup;
+    req.record.writer = ClientId{1};
+    req.record.ts.time = 1;
+    req.record.value = to_bytes(value);
+    req.record.sign(writer);
+    spoil(req.record);
+    return req.serialize();
+  };
+  const auto honest = [](core::WriteRecord&) {};
+  std::vector<Bytes> bodies;
+  bodies.push_back(to_bytes("not a write request"));
+  bodies.push_back(write_body(ItemId{1}, "digest", [](core::WriteRecord& record) {
+    record.value = to_bytes("swapped after signing");
+  }));
+  bodies.push_back(write_body(ItemId{2}, "signature", [](core::WriteRecord& record) {
+    record.signature[3] ^= 0x10;
+  }));
+  bodies.push_back(write_body(ItemId{3}, "honest one", honest));
+  bodies.push_back(write_body(ItemId{4}, "honest two", honest));
+
+  obs::Histogram& batch_size = cluster.registry().histogram("server.batch_size");
+  const std::uint64_t batches_before = batch_size.count();
+  const std::uint64_t verifies_before = crypto::CryptoMeter::instance().verifies;
+  net::RpcNode probe(cluster.transport(), NodeId{9000});
+  std::vector<std::optional<bool>> acks(bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    probe.send_request(NodeId{0}, net::MsgType::kWrite, bodies[i],
+                       [&acks, i](NodeId, net::MsgType type, BytesView body) {
+                         EXPECT_EQ(type, net::MsgType::kWrite);
+                         acks[i] = core::WriteResp::deserialize(body).ok;
+                       });
+  }
+  cluster.run_for(milliseconds(50));
+
+  EXPECT_EQ(batch_size.count() - batches_before, 1u);  // one delivery batch
+  EXPECT_EQ(acks, (std::vector<std::optional<bool>>{std::nullopt, false, false, true, true}));
+  // The bad-signature record and the two honest ones: one verify each.
+  EXPECT_EQ(crypto::CryptoMeter::instance().verifies - verifies_before, 3u);
+  EXPECT_EQ(cluster.server(0).store().current(ItemId{1}), nullptr);
+  EXPECT_EQ(cluster.server(0).store().current(ItemId{2}), nullptr);
+  EXPECT_NE(cluster.server(0).store().current(ItemId{3}), nullptr);
+  EXPECT_NE(cluster.server(0).store().current(ItemId{4}), nullptr);
 }
 
 }  // namespace

@@ -183,9 +183,10 @@ TEST(RpcTrace, RequestCarriesContextAndResponseDoesNot) {
   RpcPair net;
   const TraceContext sent = sampled_ctx(100, 200, 5);
   TraceContext seen;
-  net.server.set_request_handler([&](NodeId, net::MsgType, BytesView) {
-    seen = net.server.incoming_trace();
-    return std::make_optional(std::make_pair(net::MsgType::kAck, to_bytes("ok")));
+  net.server.set_batch_request_handler([&](std::vector<net::IncomingRequest>& batch) {
+    seen = batch.front().trace;
+    return std::vector<std::optional<std::pair<net::MsgType, Bytes>>>(
+        batch.size(), std::make_pair(net::MsgType::kAck, to_bytes("ok")));
   });
 
   bool responded = false;
